@@ -16,12 +16,13 @@ from .blackbox import (
     Escrow,
     GroupElement,
     NormalVector,
+    OracleBase,
     _check_escrow,
     canonical_element,
     coset_label,
     grover_from_identity,
 )
-from .modmath import PrimeModulus, Residue, _inv_int, _legendre_int, _roots_int, is_prime
+from .modmath import PrimeModulus, Residue, _inv_int, _nonresidue_int, _roots_int, is_prime
 
 _MAX_RESAMPLES = 1000
 
@@ -56,21 +57,28 @@ class DHInstance(NamedTuple):
         return self.g.level
 
     def check(self) -> "DHInstance":
-        p = self.g.modulus.p
-        width = len(self.g.coords)
         for e in (self.h, self.k, self.l):
-            if e is None:
-                continue
-            if e.modulus.p != p:
-                raise ValueError(f"modulus mismatch: {e.modulus.p} vs {p}")
-            if len(e.coords) != width:
-                raise ValueError(
-                    f"dimension mismatch: {len(e.coords)} vs {width}"
-                )
+            if e is not None:
+                self.g._check_compatible(e)
         return self
 
 
-class DlogOracle:
+class _CountedHandle:
+    """Solver callable plus a counter of every call, answered or not."""
+
+    __slots__ = ("_fn", "modulus", "calls")
+
+    def __init__(self, fn: Callable[..., object], modulus: PrimeModulus):
+        self._fn = fn
+        self.modulus = modulus
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self._fn(*args)
+
+
+class DlogOracle(_CountedHandle):
     """Counted handle around a solver for DLOG instances.
 
     The callable receives (g, h) and must return an integer d with
@@ -78,35 +86,17 @@ class DlogOracle:
     broken promise; the counter counts every call, answered or not.
     """
 
-    __slots__ = ("_fn", "modulus", "calls")
-
-    def __init__(self, fn: Callable[[GroupElement, GroupElement], int], modulus: PrimeModulus):
-        self._fn = fn
-        self.modulus = modulus
-        self.calls = 0
-
-    def __call__(self, g: GroupElement, h: GroupElement) -> int:
-        self.calls += 1
-        return self._fn(g, h)
+    __slots__ = ()
 
 
-class CdhOracle:
+class CdhOracle(_CountedHandle):
     """Counted handle around a solver for CDH instances.
 
     The callable receives (g, h, k) and must return some representative
     of the coset completing them to a DH-quadruple.
     """
 
-    __slots__ = ("_fn", "modulus", "calls")
-
-    def __init__(self, fn: Callable[[GroupElement, GroupElement, GroupElement], GroupElement], modulus: PrimeModulus):
-        self._fn = fn
-        self.modulus = modulus
-        self.calls = 0
-
-    def __call__(self, g: GroupElement, h: GroupElement, k: GroupElement) -> GroupElement:
-        self.calls += 1
-        return self._fn(g, h, k)
+    __slots__ = ()
 
 
 def honest_dlog_oracle(oracle, escrow: Escrow) -> DlogOracle:
@@ -259,14 +249,7 @@ def secret_from_cdh(cdh: CdhOracle, oracle, nonresidue: Optional[Residue] = None
     k = GroupElement((1, 1), modulus)
     l = cdh(g, h, k)
     l0, l1 = l.coords
-    nr = None
-    if nonresidue is not None:
-        if _legendre_int(nonresidue.value, p) != -1:
-            raise ValueError(
-                f"{nonresidue.value} is a square modulo {p}, not a non-residue"
-            )
-        nr = nonresidue.value
-    roots = _roots_int(1, 1 - l1, -l0, p, nr)
+    roots = _roots_int(1, 1 - l1, -l0, p, _nonresidue_int(nonresidue, p))
     for r in roots:
         if oracle.query_coords((r, p - 1)) == 1:
             return Residue(r, modulus)
@@ -408,44 +391,29 @@ def project_cdh_answer(l_star: GroupElement) -> GroupElement:
     return GroupElement(l_star.coords[:-1], l_star.modulus)
 
 
-class LiftedOracle:
+class LiftedOracle(OracleBase):
     """Identity oracle one level up, simulated by the base oracle.
 
     The lifted hidden vector is the base vector with a zero appended, so
     dropping the last query coordinate and asking the base oracle gives
-    exactly the lifted answer.  Each query costs one base query and the
-    counter is shared.
+    exactly the lifted answer.  Each query costs one base query, which
+    keeps the only counter; a query of the wrong length is one
+    coordinate short of the base length too, and the base refuses it.
     """
 
     __slots__ = ("_base",)
 
     def __init__(self, base):
         self._base = base
-
-    @property
-    def modulus(self) -> PrimeModulus:
-        return self._base.modulus
-
-    @property
-    def level(self) -> int:
-        return self._base.level + 1
+        self.modulus = base.modulus
+        self.level = base.level + 1
 
     @property
     def queries(self) -> int:
         return self._base.queries
 
     def query_coords(self, coords) -> int:
-        if len(coords) != self.level + 1:
-            raise ValueError(
-                f"dimension mismatch: oracle level {self.level}, "
-                f"query has {len(coords)} coordinates"
-            )
-        return self._base.query_coords(tuple(coords[:-1]))
-
-    def query(self, h: GroupElement) -> int:
-        if h.modulus.p != self.modulus.p:
-            raise ValueError(f"modulus mismatch: {h.modulus.p} vs {self.modulus.p}")
-        return self.query_coords(h.coords)
+        return self._base.query_coords(coords[:-1])
 
     def reveal_hidden(self, escrow: Escrow) -> NormalVector:
         base = self._base.reveal_hidden(escrow)
@@ -456,7 +424,7 @@ def lift_oracle(oracle) -> LiftedOracle:
     return LiftedOracle(oracle)
 
 
-class EmbeddedOracle:
+class EmbeddedOracle(OracleBase):
     """Identity oracle over Z_p^4 built from a prime-order subgroup mod q.
 
     Four subgroup elements (the DDH input) become the exponent maps
@@ -468,7 +436,7 @@ class EmbeddedOracle:
     multiplications plus one comparison with the unit.
     """
 
-    __slots__ = ("modulus", "q", "generators", "_queries", "mults")
+    __slots__ = ("q", "generators", "mults")
 
     def __init__(self, modulus: PrimeModulus, q: int, generators: Tuple[int, int, int, int]):
         p = modulus.p
@@ -484,51 +452,32 @@ class EmbeddedOracle:
                 raise ValueError(f"{g} does not lie in the order-{p} subgroup mod {q}")
         if gens[0] == 1:
             raise ValueError("the first element must generate the subgroup")
-        self.modulus = modulus
+        super().__init__(modulus, 3)
         self.q = q
         self.generators = gens
-        self._queries = 0
         self.mults = 0
 
-    @property
-    def level(self) -> int:
-        return 3
-
-    @property
-    def queries(self) -> int:
-        return self._queries
-
-    def _pow_counted(self, base: int, exp: int) -> int:
-        # Square-and-multiply over the binary expansion, counting each
-        # modular multiplication.
-        q = self.q
-        result = 1
-        b = base
-        while exp:
-            if exp & 1:
-                result = result * b % q
-                self.mults += 1
-            exp >>= 1
-            if exp:
-                b = b * b % q
-                self.mults += 1
-        return result
-
-    def query_coords(self, coords) -> int:
-        if len(coords) != 4:
-            raise ValueError(f"4 coordinates required, got {len(coords)}")
-        self._queries += 1
+    def _answer(self, coords) -> int:
         p = self.modulus.p
+        q = self.q
         acc = 1
         for g, x in zip(self.generators, coords):
-            acc = acc * self._pow_counted(g, x % p) % self.q
+            # Square-and-multiply over the binary expansion of x mod p,
+            # counting each modular multiplication, then one more for
+            # the product.
+            exp = x % p
+            power = 1
+            while exp:
+                if exp & 1:
+                    power = power * g % q
+                    self.mults += 1
+                exp >>= 1
+                if exp:
+                    g = g * g % q
+                    self.mults += 1
+            acc = acc * power % q
             self.mults += 1
         return 1 if acc == 1 else 0
-
-    def query(self, h: GroupElement) -> int:
-        if h.modulus.p != self.modulus.p:
-            raise ValueError(f"modulus mismatch: {h.modulus.p} vs {self.modulus.p}")
-        return self.query_coords(h.coords)
 
     def reveal_hidden(self, escrow: Escrow) -> NormalVector:
         """Exponents of the subgroup elements, by direct scan (test only)."""

@@ -6,6 +6,15 @@ only access to the hidden structure is the identity oracle, which answers
 whether a vector lies on the hyperplane and charges one counted query per
 evaluation.
 
+Every identity oracle derives from :class:`OracleBase`, whose
+``query_coords`` is the one counted query path: it holds the dimension
+check, the only counter and the budget, and leaves each leaf oracle
+(:class:`RawOracle`, :class:`IdentityOracle`, the embedded oracle of
+``algorithms``) only its answer rule.  Views (:class:`PermutedOracle`,
+the lifted oracle) keep no counter: they map coordinates and charge
+through the oracle they wrap.  :class:`GroverOracle` asks a level-1
+identity oracle, so point-search queries use the same counter too.
+
 Everything that would let algorithm code peek at the hidden normal vector
 is gated behind an explicit :class:`Escrow` capability.  Reference maps
 such as :func:`coset_label` take an explicit normal vector, which honest
@@ -74,7 +83,8 @@ class GroupElement:
     def level(self) -> int:
         return len(self.coords) - 1
 
-    def _check_compatible(self, other: "GroupElement") -> None:
+    def _check_compatible(self, other) -> None:
+        # Also takes a NormalVector, which has the same two fields.
         if self.modulus.p != other.modulus.p:
             raise ValueError(
                 f"modulus mismatch: {self.modulus.p} vs {other.modulus.p}"
@@ -213,12 +223,23 @@ def linear_form(h: GroupElement) -> LinearPoly:
     return LinearPoly(h.coords, h.modulus)
 
 
-class _QueryCounting:
-    """Shared query counter and optional hard budget."""
+class OracleBase:
+    """The one identity-oracle core: checks, counter and budget.
 
-    __slots__ = ("_queries", "_budget")
+    ``query_coords`` is the single counted query path: it refuses a query
+    of the wrong length or beyond the budget, counts the rest, and
+    returns the leaf's answer rule ``_answer(coords)``.  Views (permuted,
+    lifted) leave the counter unset; they map coordinates and pass the
+    query to the oracle they wrap, which checks and charges it.  A view
+    uses only the public surface of what it wraps, so a wrapped oracle
+    may itself be a view or a proxy.
+    """
 
-    def _init_counter(self, budget: Optional[int]) -> None:
+    __slots__ = ("modulus", "level", "_queries", "_budget")
+
+    def __init__(self, modulus: PrimeModulus, level: int, budget: Optional[int] = None):
+        self.modulus = modulus
+        self.level = level
         self._queries = 0
         self._budget = budget
 
@@ -226,64 +247,77 @@ class _QueryCounting:
     def queries(self) -> int:
         return self._queries
 
-    @property
-    def budget(self) -> Optional[int]:
-        return self._budget
+    def query(self, h: GroupElement) -> int:
+        if h.modulus.p != self.modulus.p:
+            raise ValueError(f"modulus mismatch: {h.modulus.p} vs {self.modulus.p}")
+        return self.query_coords(h.coords)
 
-    def _charge(self) -> None:
-        if self._budget is not None and self._queries >= self._budget:
-            raise QueryBudgetExceeded(
-                f"query budget of {self._budget} exhausted"
+    def query_coords(self, coords: Sequence[int]) -> int:
+        if len(coords) != self.level + 1:
+            raise ValueError(
+                f"dimension mismatch: oracle level {self.level}, "
+                f"query has {len(coords)} coordinates"
             )
+        if self._budget is not None and self._queries >= self._budget:
+            raise QueryBudgetExceeded(f"query budget of {self._budget} exhausted")
         self._queries += 1
+        return self._answer(coords)
+
+    def _answer(self, coords: Sequence[int]) -> int:
+        raise NotImplementedError
 
 
-class IdentityOracle(_QueryCounting):
+class RawOracle(OracleBase):
+    """Identity oracle whose normal vector is nonzero but not normalized.
+
+    Answers 1 exactly when the scalar product of the query with the
+    hidden normal is zero.  The starting point of
+    :func:`normalize_oracle`: the hidden normal may have any nonzero
+    coordinate pattern.
+    """
+
+    __slots__ = ("_normal",)
+
+    def __init__(self, normal: Sequence[int], modulus: PrimeModulus, budget: Optional[int] = None):
+        p = modulus.p
+        normal = tuple(c % p for c in normal)
+        if len(normal) < 2:
+            raise ValueError("a normal vector needs at least two coordinates")
+        if not any(normal):
+            raise ValueError("normal vector must be nonzero")
+        super().__init__(modulus, len(normal) - 1, budget)
+        self._normal = normal
+
+    def _answer(self, coords: Sequence[int]) -> int:
+        acc = 0
+        for c, nc in zip(coords, self._normal):
+            acc += c * nc
+        return 1 if acc % self.modulus.p == 0 else 0
+
+    def reveal_normal(self, escrow: Escrow) -> Tuple[int, ...]:
+        _check_escrow(escrow)
+        return self._normal
+
+
+class IdentityOracle(RawOracle):
     """Membership oracle of the hidden hyperplane, with query accounting.
 
-    ``query(h)`` returns 1 exactly when h lies on the hyperplane of the
-    hidden normal vector, and increases the counter by one.  The hidden
-    vector is reachable only through ``reveal_hidden`` with an escrow
-    token, never by the algorithms being measured.
+    A raw oracle whose normal is a :class:`NormalVector`: ``query(h)``
+    returns 1 exactly when h lies on the hyperplane of the hidden normal
+    vector, and increases the counter by one.  The hidden vector is
+    reachable only through ``reveal_hidden`` with an escrow token, never
+    by the algorithms being measured.
     """
 
     __slots__ = ("_hidden",)
 
     def __init__(self, hidden: NormalVector, budget: Optional[int] = None):
+        super().__init__(hidden.coords, hidden.modulus, budget)
         self._hidden = hidden
-        self._init_counter(budget)
 
     @classmethod
     def level1(cls, modulus: PrimeModulus, secret: int, budget: Optional[int] = None) -> "IdentityOracle":
         return cls(NormalVector.level1(modulus, secret), budget)
-
-    @property
-    def modulus(self) -> PrimeModulus:
-        return self._hidden.modulus
-
-    @property
-    def level(self) -> int:
-        return self._hidden.level
-
-    def query_coords(self, coords: Sequence[int]) -> int:
-        n = self._hidden.coords
-        if len(coords) != len(n):
-            raise ValueError(
-                f"dimension mismatch: oracle level {len(n) - 1}, "
-                f"query has {len(coords)} coordinates"
-            )
-        self._charge()
-        acc = 0
-        for c, nc in zip(coords, n):
-            acc += c * nc
-        return 1 if acc % self._hidden.modulus.p == 0 else 0
-
-    def query(self, h: GroupElement) -> int:
-        if h.modulus.p != self._hidden.modulus.p:
-            raise ValueError(
-                f"modulus mismatch: {h.modulus.p} vs {self._hidden.modulus.p}"
-            )
-        return self.query_coords(h.coords)
 
     def reveal_hidden(self, escrow: Escrow) -> NormalVector:
         """Test-escrow accessor for the hidden vector.  Never counted."""
@@ -291,58 +325,11 @@ class IdentityOracle(_QueryCounting):
         return self._hidden
 
 
-class RawOracle(_QueryCounting):
-    """Identity oracle whose normal vector is nonzero but not normalized.
-
-    The starting point of :func:`normalize_oracle`: same query mechanics
-    as :class:`IdentityOracle`, but the hidden normal may have any nonzero
-    coordinate pattern.
-    """
-
-    __slots__ = ("_normal", "modulus")
-
-    def __init__(self, normal: Sequence[int], modulus: PrimeModulus, budget: Optional[int] = None):
-        p = modulus.p
-        self._normal = tuple(c % p for c in normal)
-        self.modulus = modulus
-        if len(self._normal) < 2:
-            raise ValueError("a normal vector needs at least two coordinates")
-        if not any(self._normal):
-            raise ValueError("normal vector must be nonzero")
-        self._init_counter(budget)
-
-    @property
-    def level(self) -> int:
-        return len(self._normal) - 1
-
-    def query_coords(self, coords: Sequence[int]) -> int:
-        n = self._normal
-        if len(coords) != len(n):
-            raise ValueError(
-                f"dimension mismatch: oracle level {len(n) - 1}, "
-                f"query has {len(coords)} coordinates"
-            )
-        self._charge()
-        acc = 0
-        for c, nc in zip(coords, n):
-            acc += c * nc
-        return 1 if acc % self.modulus.p == 0 else 0
-
-    def query(self, h: GroupElement) -> int:
-        if h.modulus.p != self.modulus.p:
-            raise ValueError(f"modulus mismatch: {h.modulus.p} vs {self.modulus.p}")
-        return self.query_coords(h.coords)
-
-    def reveal_normal(self, escrow: Escrow) -> Tuple[int, ...]:
-        _check_escrow(escrow)
-        return self._normal
-
-
-class PermutedOracle:
+class PermutedOracle(OracleBase):
     """View of a raw oracle through a coordinate permutation.
 
     Queries are permuted and delegated, so each query here costs exactly
-    one query on the wrapped oracle and the counter is shared.  The
+    one query on the wrapped oracle, which keeps the only counter.  The
     effective hidden vector is the permuted, rescaled raw normal, which is
     normalized by construction.
     """
@@ -352,31 +339,20 @@ class PermutedOracle:
     def __init__(self, raw: RawOracle, perm: Tuple[int, ...]):
         self._raw = raw
         self.perm = perm
-
-    @property
-    def modulus(self) -> PrimeModulus:
-        return self._raw.modulus
-
-    @property
-    def level(self) -> int:
-        return self._raw.level
+        self.modulus = raw.modulus
+        self.level = raw.level
 
     @property
     def queries(self) -> int:
         return self._raw.queries
 
     def query_coords(self, coords: Sequence[int]) -> int:
-        if len(coords) != len(self.perm):
-            raise ValueError(
-                f"dimension mismatch: oracle level {len(self.perm) - 1}, "
-                f"query has {len(coords)} coordinates"
-            )
-        return self._raw.query_coords(tuple(coords[i] for i in self.perm))
-
-    def query(self, h: GroupElement) -> int:
-        if h.modulus.p != self.modulus.p:
-            raise ValueError(f"modulus mismatch: {h.modulus.p} vs {self.modulus.p}")
-        return self.query_coords(h.coords)
+        perm = self.perm
+        # A query of the wrong length goes through unpermuted, and the
+        # wrapped oracle, which has the same level, refuses it.
+        if len(coords) == len(perm):
+            coords = tuple(map(coords.__getitem__, perm))
+        return self._raw.query_coords(coords)
 
     def reveal_hidden(self, escrow: Escrow) -> NormalVector:
         _check_escrow(escrow)
@@ -386,31 +362,34 @@ class PermutedOracle:
         return NormalVector(tuple(c * scale for c in permuted), self.modulus)
 
 
-class GroverOracle(_QueryCounting):
-    """Point-search oracle over Z_p: answers 1 exactly on the hidden value."""
+class GroverOracle:
+    """Point-search oracle over Z_p: answers 1 exactly on the hidden value.
 
-    __slots__ = ("_secret", "modulus")
+    The point question x is the level-1 identity question (x, -1), so the
+    oracle asks a level-1 :class:`IdentityOracle` and uses its counter and
+    budget.
+    """
+
+    __slots__ = ("_line", "modulus")
 
     def __init__(self, modulus: PrimeModulus, secret: int, budget: Optional[int] = None):
+        self._line = IdentityOracle.level1(modulus, secret, budget)
         self.modulus = modulus
-        self._secret = secret % modulus.p
-        self._init_counter(budget)
+
+    @property
+    def queries(self) -> int:
+        return self._line.queries
 
     def query(self, x: int) -> int:
-        self._charge()
-        return 1 if x % self.modulus.p == self._secret else 0
+        return grover_from_identity(self._line, x)
 
     def reveal_secret(self, escrow: Escrow) -> int:
-        _check_escrow(escrow)
-        return self._secret
+        return self._line.reveal_hidden(escrow).secret
 
 
 def equal_in_group(oracle, a: GroupElement, b: GroupElement) -> int:
     """Equality of cosets: one identity query on the difference a - b."""
-    a._check_compatible(b)
-    p = a.modulus.p
-    diff = tuple((x - y) % p for x, y in zip(a.coords, b.coords))
-    return oracle.query_coords(diff)
+    return oracle.query(a - b)
 
 
 def grover_from_identity(oracle, x: int) -> int:
@@ -449,12 +428,7 @@ def coset_label(n: NormalVector, h: GroupElement) -> Residue:
     surjective homomorphism whose kernel is the hidden hyperplane.  Only
     reference and test code should hold the normal vector needed here.
     """
-    if h.modulus.p != n.modulus.p:
-        raise ValueError(f"modulus mismatch: {h.modulus.p} vs {n.modulus.p}")
-    if len(h.coords) != len(n.coords):
-        raise ValueError(
-            f"dimension mismatch: {len(h.coords)} vs {len(n.coords)}"
-        )
+    h._check_compatible(n)
     acc = 0
     for c, nc in zip(h.coords, n.coords):
         acc += c * nc

@@ -89,9 +89,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     def add(name: str, help_text: str, **defaults):
-        sp = sub.add_parser(name, help=help_text)
+        # No prefix matching: a removed flag such as --t must be refused,
+        # not read as an abbreviation of --trials.
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.add_argument("--p", required=True, help="prime modulus (comma list where applicable)")
-        sp.add_argument("--t", type=int, default=1, help="group level")
         sp.add_argument("--seed", type=int, default=0, help="master seed")
         sp.add_argument("--trials", type=int, default=defaults.get("trials", 1000))
         sp.add_argument("--out", default=None, help="output file path")
@@ -290,10 +291,8 @@ def _config(args, command: str) -> ExperimentConfig:
         p=tuple(_parse_int_list(args.p)),
         seed=args.seed,
         trials=args.trials,
-        t=args.t,
         out=args.out,
         format=args.format,
-        force=getattr(args, "force", False),
     )
 
 
@@ -306,19 +305,14 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_reductions(args) -> int:
     cfg = _config(args, "reductions")
-    if len(cfg.p) != 1:
-        raise ValueError(f"this command takes a single prime, got {list(cfg.p)}")
-    rows = [r.to_dict() for r in run_reduction_success(cfg.p[0], cfg.trials, cfg.seed)]
+    rows = [r.to_dict() for r in run_reduction_success(_single_p(args), cfg.trials, cfg.seed)]
     _write_or_print(rows, cfg.out, cfg.format)
     return 0
 
 
 def _cmd_level2(args) -> int:
     cfg = _config(args, "level2-counts")
-    if len(cfg.p) != 1:
-        raise ValueError(f"this command takes a single prime, got {list(cfg.p)}")
-    p = cfg.p[0]
-    result = run_level2_solution_counts(p, cfg.trials, cfg.seed)
+    result = run_level2_solution_counts(_single_p(args), cfg.trials, cfg.seed)
     payload = result.to_dict()
     if args.out is None:
         print(json.dumps(payload, indent=2))

@@ -40,10 +40,8 @@ class ExperimentConfig:
     p: Tuple[int, ...]
     seed: int
     trials: int
-    t: int = 1
     out: Optional[str] = None
     format: str = "csv"
-    force: bool = False
 
 
 def trial_rng(seed: int, *labels: int) -> np.random.Generator:

@@ -9,19 +9,23 @@ and reports the success probability of measuring the secret.
 The phase flip needs the secret's position, which is taken once through
 escrow at construction; simulating the oracle's action on every basis
 state individually would otherwise charge p classical queries per
-iteration and say nothing about quantum cost.  Norm drift is asserted,
-never corrected: a drifting norm means the simulation is wrong.
+iteration and say nothing about quantum cost.  Each application is
+instead charged as one identity query (s, -1), which must answer 1, so
+the oracle's counter and budget see the quantum queries too.  Norm drift
+is asserted, never corrected: a drifting norm means the simulation is
+wrong.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .algorithms import DishonestOracleError
 from .blackbox import Escrow
 
 MAX_STATES = 1 << 22
@@ -90,14 +94,7 @@ class GroverRun:
     oracle_queries: int
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "target": self.target,
-            "iterations": self.iterations,
-            "success_probability": self.success_probability,
-            "measured_outcome": self.measured_outcome,
-            "oracle_queries": self.oracle_queries,
-        }
+        return asdict(self)
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_dict())
@@ -107,9 +104,11 @@ def grover_search(oracle, iterations: Optional[int] = None, rng=None) -> GroverR
     """Search for the secret of a level-1 identity oracle.
 
     The number of iterations defaults to the optimal choice; each
-    iteration applies the phase oracle once, so the reported query count
-    equals the iteration count.  Measurement samples the final
-    distribution with ``rng`` (fixed rng implies a fixed outcome).
+    iteration applies the phase oracle once and is charged as one query
+    on ``oracle``, so the reported query count equals the iteration
+    count and a budget below it raises ``QueryBudgetExceeded``.
+    Measurement samples the final distribution with ``rng`` (fixed rng
+    implies a fixed outcome).
     """
     if oracle.level != 1:
         raise ValueError(f"level-1 oracle required, got level {oracle.level}")
@@ -118,6 +117,12 @@ def grover_search(oracle, iterations: Optional[int] = None, rng=None) -> GroverR
         raise ValueError(f"p = {p} exceeds the memory guard {MAX_STATES}")
     target = oracle.reveal_hidden(Escrow()).coords[1]
     k = optimal_iterations(p) if iterations is None else iterations
+    # Charge the k phase-oracle applications before the state is built,
+    # so a budget below k allocates nothing.  Each asks about the escrowed
+    # target, which must lie on the oracle's hidden line.
+    for _ in range(k):
+        if oracle.query_coords((target, p - 1)) != 1:
+            raise DishonestOracleError(f"oracle rejects its escrowed secret {target}")
     amplitudes = simulate_search(p, target, k)
     probs = np.abs(amplitudes) ** 2
     if rng is None:
@@ -142,11 +147,7 @@ class CurvePoint:
     success_probability: float
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "iterations": self.iterations,
-            "success_probability": self.success_probability,
-        }
+        return asdict(self)
 
 
 def quantum_query_curve(ps: Sequence[int]) -> List[CurvePoint]:

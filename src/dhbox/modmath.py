@@ -203,6 +203,21 @@ def find_nonresidue(modulus: PrimeModulus, rng=None) -> Residue:
             return Residue(c, modulus)
 
 
+def _nonresidue_int(nonresidue: Optional[Residue], p: int) -> Optional[int]:
+    """Value of a caller-supplied non-residue modulo p, or None for none.
+
+    A residue modulo another prime or an actual square is a caller bug
+    and raises ValueError.
+    """
+    if nonresidue is None:
+        return None
+    if nonresidue.modulus.p != p:
+        raise ValueError(f"modulus mismatch: {nonresidue.modulus.p} vs {p}")
+    if _legendre_int(nonresidue.value, p) != -1:
+        raise ValueError(f"{nonresidue.value} is a square modulo {p}, not a non-residue")
+    return nonresidue.value
+
+
 def _sqrt_int(a: int, p: int, nonresidue: Optional[int] = None) -> Optional[Tuple[int, int]]:
     """Both square roots of a modulo p as an ordered pair, or None.
 
@@ -255,15 +270,7 @@ def sqrt_mod(a: Residue, nonresidue: Optional[Residue] = None) -> Optional[Tuple
     an actual square there is rejected as a caller bug.
     """
     p = a.modulus.p
-    nr = None
-    if nonresidue is not None:
-        _require_same_modulus(a, nonresidue)
-        if _legendre_int(nonresidue.value, p) != -1:
-            raise ValueError(
-                f"{nonresidue.value} is a square modulo {p}, not a non-residue"
-            )
-        nr = nonresidue.value
-    pair = _sqrt_int(a.value, p, nr)
+    pair = _sqrt_int(a.value, p, _nonresidue_int(nonresidue, p))
     if pair is None:
         return None
     return (Residue(pair[0], a.modulus), Residue(pair[1], a.modulus))
@@ -355,13 +362,7 @@ def solve_quadratic(q: QuadraticPoly, nonresidue: Optional[Residue] = None):
     DDH decision needs "every residue is a root" as its own case.
     """
     modulus = q.modulus
-    nr = None
-    if nonresidue is not None:
-        if _legendre_int(nonresidue.value, modulus.p) != -1:
-            raise ValueError(
-                f"{nonresidue.value} is a square modulo {modulus.p}, not a non-residue"
-            )
-        nr = nonresidue.value
+    nr = _nonresidue_int(nonresidue, modulus.p)
     roots = _roots_int(q.a2.value, q.a1.value, q.a0.value, modulus.p, nr)
     if roots is ALL_RESIDUES:
         return ALL_RESIDUES

@@ -237,6 +237,9 @@ def test_secret_from_cdh_with_nonresidue_deterministic():
     with pytest.raises(ValueError):
         o = IdentityOracle.level1(pm, 5)
         secret_from_cdh(honest_cdh_oracle(o, ESCROW), o, nonresidue=pm.residue(4))
+    with pytest.raises(ValueError):  # a non-residue modulo another prime
+        o = IdentityOracle.level1(pm, 5)
+        secret_from_cdh(honest_cdh_oracle(o, ESCROW), o, nonresidue=PrimeModulus(11).residue(2))
 
 
 def test_secret_from_cdh_random_representatives():

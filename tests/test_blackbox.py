@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dhbox.algorithms import embed_generic_group, lift_oracle
 from dhbox.blackbox import (
     Escrow,
     EscrowError,
@@ -72,14 +73,62 @@ def test_id_query_examples():
     assert o.queries == 3
 
 
-def test_query_counter_and_budget():
-    pm = PrimeModulus(7)
-    o = IdentityOracle.level1(pm, 3, budget=2)
-    o.query_coords((0, 0))
-    o.query_coords((1, 1))
+def _identity_case():
+    o = IdentityOracle.level1(PrimeModulus(7), 3, budget=2)
+    return o, o, 2
+
+
+def _raw_case():
+    o = RawOracle((2, 6, 3), PrimeModulus(7), budget=2)
+    return o, o, 2
+
+
+def _normalized_view_case():
+    raw = RawOracle((0, 1, 4), PrimeModulus(7), budget=4)
+    _, view = normalize_oracle(raw)  # two unit-vector queries on raw
+    return view, raw, 4
+
+
+def _lifted_view_case():
+    base = IdentityOracle.level1(PrimeModulus(7), 3, budget=2)
+    return lift_oracle(base), base, 2
+
+
+def _embedded_case():
+    # 2 has order 11 modulo 23; exponents (1, 3, 4, 1)
+    o, _ = embed_generic_group(PrimeModulus(11), 23, (2, 8, 16, 2))
+    return o, o, None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_identity_case, _raw_case, _normalized_view_case, _lifted_view_case, _embedded_case],
+    ids=["IdentityOracle", "RawOracle", "normalize_oracle", "lift_oracle", "EmbeddedOracle"],
+)
+def test_query_counter_and_budget(make):
+    # The one oracle contract: every query is counted once, by the leaf
+    # oracle under any view, and refused queries are not counted.
+    o, leaf, budget = make()
+    pm = o.modulus
+    width = o.level + 1
+    start = leaf.queries
+    o.query_coords((0,) * width)
+    o.query(GroupElement((1,) * width, pm))
+    assert leaf.queries == start + 2
+    assert o.queries == leaf.queries
+    for wrong in ((0,) * (width - 1), (0,) * (width + 1)):
+        with pytest.raises(ValueError):
+            o.query_coords(wrong)
+    with pytest.raises(ValueError):
+        o.query(GroupElement((0,) * width, PrimeModulus(5)))
+    assert o.queries == leaf.queries == start + 2
+    if budget is None:
+        return
+    while leaf.queries < budget:
+        o.query_coords((2,) * width)
     with pytest.raises(QueryBudgetExceeded):
-        o.query_coords((2, 2))
-    assert o.queries == 2  # the refused query is not counted
+        o.query_coords((2,) * width)
+    assert o.queries == leaf.queries == budget  # the refused query is not counted
 
 
 def test_query_dimension_mismatch():

@@ -16,6 +16,7 @@ def test_unknown_command_exit_1(capsys):
 
 def test_unknown_flag_exit_1(capsys):
     assert main(["secret", "--p", "7", "--frob"]) == 1
+    assert main(["adversary", "--p", "5", "--t", "7"]) == 1  # no --t flag any more
 
 
 def test_bad_input_exit_1(capsys):

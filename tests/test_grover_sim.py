@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dhbox.blackbox import IdentityOracle
+from dhbox.algorithms import DishonestOracleError
+from dhbox.blackbox import IdentityOracle, NormalVector, QueryBudgetExceeded
 from dhbox.grover_sim import (
     MAX_STATES,
     GroverRun,
@@ -51,6 +52,7 @@ def test_query_accounting_and_determinism():
     pm = PrimeModulus(101)
     o = IdentityOracle.level1(pm, 42)
     run1 = grover_search(o, iterations=7, rng=np.random.default_rng(5))
+    assert o.queries == run1.oracle_queries
     run2 = grover_search(o, iterations=7, rng=np.random.default_rng(5))
     assert run1.oracle_queries == 7
     assert run1.iterations == 7
@@ -59,6 +61,23 @@ def test_query_accounting_and_determinism():
     assert run1.target == 42
     # high success probability: the sampled outcome is the target here
     assert run1.measured_outcome == 42
+
+
+def test_query_budget_and_escrow_consistency():
+    pm = PrimeModulus(101)
+    o = IdentityOracle.level1(pm, 42, budget=3)
+    with pytest.raises(QueryBudgetExceeded):
+        grover_search(o, iterations=7, rng=np.random.default_rng(5))
+    assert o.queries == 3  # charged before any state is built, refused at 4
+
+    class _OtherSecretInEscrow(IdentityOracle):
+        __slots__ = ()
+
+        def reveal_hidden(self, escrow):
+            return NormalVector.level1(self.modulus, 41)
+
+    with pytest.raises(DishonestOracleError):
+        grover_search(_OtherSecretInEscrow.level1(pm, 42), iterations=7)
 
 
 def test_default_iterations_near_optimum():

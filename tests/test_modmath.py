@@ -141,6 +141,13 @@ def test_sqrt_rejects_square_as_nonresidue():
     pm = PrimeModulus(7)
     with pytest.raises(ValueError):
         sqrt_mod(pm.residue(2), nonresidue=pm.residue(4))
+    # 2 is a non-residue modulo 11 and modulo 13, but only as a residue of 13
+    # may it serve for a polynomial modulo 13
+    with pytest.raises(ValueError):
+        solve_quadratic(
+            QuadraticPoly.from_ints(PrimeModulus(13), 1, 0, -3),
+            nonresidue=PrimeModulus(11).residue(2),
+        )
 
 
 def test_sqrt_deterministic_with_nonresidue():
