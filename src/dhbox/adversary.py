@@ -22,7 +22,7 @@ range.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -34,6 +34,15 @@ DEFAULT_ENUMERATION_GUARD = 31
 
 # The fixed level-2 input instance: generator and three unit-ish vectors.
 FIXED_INSTANCE = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1))
+
+
+def check_enumeration_guard(p: int, force: bool) -> None:
+    """Validate the prime and refuse p beyond the guard unless ``force``."""
+    PrimeModulus(p)
+    if p > DEFAULT_ENUMERATION_GUARD and not force:
+        raise ValueError(
+            f"p = {p} exceeds the enumeration guard {DEFAULT_ENUMERATION_GUARD}; pass force=True"
+        )
 
 
 @dataclass(frozen=True)
@@ -173,13 +182,7 @@ class Witness:
     sigma_h_n_prime: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": list(self.n),
-            "n_prime": list(self.n_prime),
-            "h": list(self.h),
-            "sigma_h_n": self.sigma_h_n,
-            "sigma_h_n_prime": self.sigma_h_n_prime,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,7 @@ def _first_vector(p: int, positive: bool, h: Tuple[int, int, int], answer: int) 
     raise AssertionError("no vector matches an admissible kind")
 
 
-def adversary_bounds(p: int, guard: int = DEFAULT_ENUMERATION_GUARD, force: bool = False) -> AdversaryReport:
+def adversary_bounds(p: int, force: bool = False) -> AdversaryReport:
     """Exact worst-case adversary ratios by full enumeration over queries.
 
     For every query h and each of the two admissible answer patterns, the
@@ -242,13 +245,9 @@ def adversary_bounds(p: int, guard: int = DEFAULT_ENUMERATION_GUARD, force: bool
     exact rational arithmetic, with lexicographically first witnesses.
 
     Enumeration is O(p^3) queries with O(p) counting work each; the guard
-    rejects p beyond the default 31 unless ``force`` is set.
+    rejects p beyond 31 unless ``force`` is set.
     """
-    PrimeModulus(p)
-    if p > guard and not force:
-        raise ValueError(
-            f"p = {p} exceeds the enumeration guard {guard}; pass force=True"
-        )
+    check_enumeration_guard(p, force)
     pos_on, neg_on, pos_off, neg_off = _hyperplane_counts(p)
     sp = p * p - p + 1  # row sum at a positive vector
     sn = p - 1  # row sum at a negative vector

@@ -162,6 +162,12 @@ def dh_polynomial(inst: DHInstance):
     return a2, a1, a0
 
 
+def _check_same_modulus(oracle, other) -> None:
+    """Refuse, before any query or call, an oracle modulo another prime."""
+    if oracle.modulus.p != other.modulus.p:
+        raise ValueError(f"modulus mismatch: {oracle.modulus.p} vs {other.modulus.p}")
+
+
 def ddh_decide_level1(oracle, inst: DHInstance, check_generator: bool = True) -> int:
     """Decide whether a level-1 quadruple is a DH-quadruple.
 
@@ -179,6 +185,7 @@ def ddh_decide_level1(oracle, inst: DHInstance, check_generator: bool = True) ->
     if inst.l is None:
         raise ValueError("DDH needs a full quadruple, l is missing")
     inst.check()
+    _check_same_modulus(oracle, inst)
     if check_generator and oracle.query(inst.g) == 1:
         raise NotAGeneratorError("DDH instance with non-generator g")
     p = inst.modulus.p
@@ -242,6 +249,7 @@ def secret_from_cdh(cdh: CdhOracle, oracle, nonresidue: Optional[Residue] = None
     supplied quadratic non-residue makes that step deterministic) and at
     most two identity queries pick out which root is the secret.
     """
+    _check_same_modulus(oracle, cdh)
     modulus = cdh.modulus
     p = modulus.p
     g = GroupElement((1, 0), modulus)
@@ -519,6 +527,7 @@ def ddh_decide_by_search(oracle, inst: DHInstance) -> int:
     if inst.l is None:
         raise ValueError("DDH needs a full quadruple, l is missing")
     inst.check()
+    _check_same_modulus(oracle, inst)
     n = brute_force_hidden_vector(oracle)
     p = n.modulus.p
     fg = coset_label(n, inst.g).value

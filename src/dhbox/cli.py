@@ -35,13 +35,12 @@ from .algorithms import (
 )
 from .blackbox import Escrow, GroupElement, IdentityOracle, random_element
 from .experiments import (
-    ExperimentConfig,
     format_value,
+    rows_to_csv,
     run_level2_solution_counts,
     run_reduction_success,
     run_scaling,
     trial_rng,
-    write_rows,
 )
 from .grover_sim import grover_search
 from .modmath import PrimeModulus
@@ -71,16 +70,27 @@ def _parse_coords(text: str):
     return tuple(int(part) for part in text.split(","))
 
 
-def _write_or_print(payload, out: Optional[str], fmt: str) -> None:
+def _emit(text: str, out: Optional[str]) -> None:
+    """Print ``text``, or write it to the file ``out`` and say so."""
     if out is None:
-        if fmt == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            for row in payload:
-                print("  ".join(f"{k}={format_value(v)}" for k, v in row.items()))
+        print(text, end="")
     else:
-        write_rows(out, payload, fmt)
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
         print(f"wrote {out}")
+
+
+def _emit_rows(rows: List[dict], out: Optional[str], fmt: str) -> None:
+    """Rows as JSON, as a CSV file, or as ``key=value`` lines on stdout."""
+    if fmt == "json":
+        text = json.dumps(rows, indent=2) + "\n"
+    elif out is not None:
+        text = rows_to_csv(rows)
+    else:
+        text = "".join(
+            "  ".join(f"{k}={format_value(v)}" for k, v in row.items()) + "\n" for row in rows
+        )
+    _emit(text, out)
 
 
 def build_parser() -> _Parser:
@@ -88,18 +98,23 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"dhbox {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name: str, help_text: str, **defaults):
-        # No prefix matching: a removed flag such as --t must be refused,
-        # not read as an abbreviation of --trials.
+    def add(name: str, help_text: str, seed=False, trials=None, out=False, fmt=False):
+        # Each command declares only the options its handler reads.  No
+        # prefix matching: a flag a command lacks, such as --t, must be
+        # refused, not read as an abbreviation of another flag.
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         sp.add_argument("--p", required=True, help="prime modulus (comma list where applicable)")
-        sp.add_argument("--seed", type=int, default=0, help="master seed")
-        sp.add_argument("--trials", type=int, default=defaults.get("trials", 1000))
-        sp.add_argument("--out", default=None, help="output file path")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if seed:
+            sp.add_argument("--seed", type=int, default=0, help="master seed")
+        if trials is not None:
+            sp.add_argument("--trials", type=int, default=trials)
+        if out:
+            sp.add_argument("--out", default=None, help="output file path")
+        if fmt:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
         return sp
 
-    sp = add("secret", "recover the hidden secret with a chosen algorithm")
+    sp = add("secret", "recover the hidden secret with a chosen algorithm", seed=True, out=True, fmt=True)
     sp.add_argument(
         "--algo",
         choices=("dlog", "cdh", "dlog-random", "cdh-random", "brute", "brute-random"),
@@ -113,23 +128,24 @@ def build_parser() -> _Parser:
     sp.add_argument("--k", required=True)
     sp.add_argument("--l", required=True)
 
-    add("lift", "check that lifting preserves DDH answers on random instances", trials=20)
+    add("lift", "check that lifting preserves DDH answers on random instances", seed=True, trials=20)
 
-    sp = add("embed", "embed a multiplicative prime-order subgroup DDH input")
+    sp = add("embed", "embed a multiplicative prime-order subgroup DDH input", seed=True)
     sp.add_argument("--q", type=int, required=True, help="prime with p | q-1")
     sp.add_argument("--a", type=int, default=None)
     sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--c", type=int, default=None)
 
-    sp = add("adversary", "emit the level-2 adversary-bound report")
+    sp = add("adversary", "emit the level-2 adversary-bound report", out=True)
     sp.add_argument("--force", action="store_true", help="override the enumeration guard")
 
-    sp = add("grover", "run the Grover search simulator once")
+    sp = add("grover", "run the Grover search simulator once", seed=True, out=True)
     sp.add_argument("--iterations", type=int, default=None)
 
-    add("scaling", "brute-force query scaling across primes", trials=10000)
-    add("reductions", "random-instance reduction success rates", trials=10000)
-    add("level2-counts", "random level-2 instance line-solution counts", trials=1000)
+    row_options = dict(seed=True, out=True, fmt=True)
+    add("scaling", "brute-force query scaling across primes", trials=10000, **row_options)
+    add("reductions", "random-instance reduction success rates", trials=10000, **row_options)
+    add("level2-counts", "random level-2 instance line-solution counts", trials=1000, **row_options)
     return parser
 
 
@@ -179,7 +195,7 @@ def _cmd_secret(args) -> int:
         "dlog_calls": dlog_calls,
         "cdh_calls": cdh_calls,
     }
-    _write_or_print([row], args.out, args.format)
+    _emit_rows([row], args.out, args.format)
     return 0
 
 
@@ -257,14 +273,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_adversary(args) -> int:
     p = _single_p(args)
-    report = adversary_bounds(p, force=args.force)
-    text = report.to_json() + "\n"
-    if args.out is None:
-        print(text, end="")
-    else:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
+    _emit(adversary_bounds(p, force=args.force).to_json() + "\n", args.out)
     return 0
 
 
@@ -275,55 +284,31 @@ def _cmd_grover(args) -> int:
     s = int(rng.integers(0, p))
     oracle = IdentityOracle.level1(modulus, s)
     run = grover_search(oracle, iterations=args.iterations, rng=rng)
-    line = run.to_json_line() + "\n"
-    if args.out is None:
-        print(line, end="")
-    else:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(line)
-        print(f"wrote {args.out}")
+    _emit(run.to_json_line() + "\n", args.out)
     return 0
 
 
-def _config(args, command: str) -> ExperimentConfig:
-    return ExperimentConfig(
-        command=command,
-        p=tuple(_parse_int_list(args.p)),
-        seed=args.seed,
-        trials=args.trials,
-        out=args.out,
-        format=args.format,
-    )
-
-
 def _cmd_scaling(args) -> int:
-    cfg = _config(args, "scaling")
-    rows = [r.to_dict() for r in run_scaling(list(cfg.p), cfg.trials, cfg.seed)]
-    _write_or_print(rows, cfg.out, cfg.format)
+    rows = run_scaling(_parse_int_list(args.p), args.trials, args.seed)
+    _emit_rows([r.to_dict() for r in rows], args.out, args.format)
     return 0
 
 
 def _cmd_reductions(args) -> int:
-    cfg = _config(args, "reductions")
-    rows = [r.to_dict() for r in run_reduction_success(_single_p(args), cfg.trials, cfg.seed)]
-    _write_or_print(rows, cfg.out, cfg.format)
+    rows = run_reduction_success(_single_p(args), args.trials, args.seed)
+    _emit_rows([r.to_dict() for r in rows], args.out, args.format)
     return 0
 
 
 def _cmd_level2(args) -> int:
-    cfg = _config(args, "level2-counts")
-    result = run_level2_solution_counts(_single_p(args), cfg.trials, cfg.seed)
+    result = run_level2_solution_counts(_single_p(args), args.trials, args.seed)
     payload = result.to_dict()
-    if args.out is None:
-        print(json.dumps(payload, indent=2))
+    if args.out is not None and args.format == "csv":
+        flat = {k: v for k, v in payload.items() if k != "bad_samples"}
+        _emit(rows_to_csv([flat]), args.out)
     else:
-        if args.format == "json":
-            with open(args.out, "w", newline="") as fh:
-                fh.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            flat = {k: v for k, v in payload.items() if k != "bad_samples"}
-            write_rows(args.out, [flat], "csv")
-        print(f"wrote {args.out}")
+        # stdout is JSON whatever --format says.
+        _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if result.within_threshold else 2
 
 

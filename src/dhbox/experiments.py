@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .adversary import check_enumeration_guard
 from .algorithms import (
     brute_force_secret,
     honest_cdh_oracle,
@@ -30,18 +31,6 @@ from .algorithms import (
 )
 from .blackbox import Escrow, IdentityOracle
 from .modmath import PrimeModulus, _inv_int
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One CLI experiment invocation; equal configs imply equal output bytes."""
-
-    command: str
-    p: Tuple[int, ...]
-    seed: int
-    trials: int
-    out: Optional[str] = None
-    format: str = "csv"
 
 
 def trial_rng(seed: int, *labels: int) -> np.random.Generator:
@@ -74,15 +63,7 @@ class ScalingRow:
     within_5pct: bool
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "trials": self.trials,
-            "mean_queries": self.mean_queries,
-            "max_queries": self.max_queries,
-            "expected_mean": self.expected_mean,
-            "rel_error": self.rel_error,
-            "within_5pct": self.within_5pct,
-        }
+        return asdict(self)
 
 
 def run_scaling(ps: Sequence[int], trials: int, seed: int) -> List[ScalingRow]:
@@ -143,19 +124,7 @@ class ReductionRow:
     mean_id_queries: float
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "p": self.p,
-            "trials": self.trials,
-            "successes": self.successes,
-            "rate": self.rate,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-            "bound": self.bound,
-            "consistent_with_bound": self.consistent_with_bound,
-            "mean_oracle_calls": self.mean_oracle_calls,
-            "mean_id_queries": self.mean_id_queries,
-        }
+        return asdict(self)
 
 
 def run_reduction_success(p: int, trials: int, seed: int) -> List[ReductionRow]:
@@ -224,11 +193,7 @@ class SolutionCountSample:
         return self.solution_count > 2
 
     def to_dict(self) -> dict:
-        return {
-            "instance": [list(e) for e in self.instance],
-            "worst_line": list(self.worst_line),
-            "solution_count": self.solution_count,
-        }
+        return asdict(self)
 
 
 def max_line_solution_count(p: int, g, h, k, l) -> Tuple[int, Tuple[int, int, int]]:
@@ -290,33 +255,18 @@ class Level2Result:
     bad_samples: List[SolutionCountSample] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "trials": self.trials,
-            "bad_count": self.bad_count,
-            "bad_fraction": self.bad_fraction,
-            "bound": self.bound,
-            "sigma": self.sigma,
-            "threshold": self.threshold,
-            "within_threshold": self.within_threshold,
-            "bad_samples": [s.to_dict() for s in self.bad_samples],
-        }
+        return asdict(self)
 
 
-def run_level2_solution_counts(
-    p: int, trials: int, seed: int, guard: int = 31, force: bool = False
-) -> Level2Result:
+def run_level2_solution_counts(p: int, trials: int, seed: int, force: bool = False) -> Level2Result:
     """Fraction of random level-2 quadruples with a line of > 2 solutions.
 
     Instances are drawn uniformly; each is checked exhaustively against
     every line.  The fraction is compared with 7/p plus three binomial
-    sigmas.  The per-sample cost is O(p^3) grid work, hence the guard.
+    sigmas.  The per-sample cost is O(p^3) grid work, hence the guard
+    (p <= 31 unless ``force`` is set).
     """
-    PrimeModulus(p)
-    if p > guard and not force:
-        raise ValueError(
-            f"p = {p} exceeds the enumeration guard {guard}; pass force=True"
-        )
+    check_enumeration_guard(p, force)
     bad = 0
     bad_samples: List[SolutionCountSample] = []
     for t in range(trials):

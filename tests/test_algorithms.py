@@ -132,6 +132,18 @@ def test_ddh_level_and_missing_l_rejected():
     )
     with pytest.raises(ValueError):
         ddh_decide_level1(o, inst2)
+    # an oracle modulo another prime is refused before any query
+    pm7 = PrimeModulus(7)
+    inst7 = DHInstance(elem(pm7, 1, 0), elem(pm7, 0, 1), elem(pm7, 0, 1), elem(pm7, 4, 0))
+    o11 = IdentityOracle.level1(PrimeModulus(11), 2)
+    for decide in (
+        ddh_decide_level1,
+        lambda o, inst: ddh_decide_level1(o, inst, check_generator=False),
+        ddh_decide_by_search,
+    ):
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            decide(o11, inst7)
+        assert o11.queries == 0
 
 
 # ---------------------------------------------------------- secret from DLOG
@@ -258,6 +270,12 @@ def test_secret_from_cdh_dishonest_oracle():
     liar = CdhOracle(lambda g, h, k: canonical_element(pm, 1, 1), pm)
     with pytest.raises(DishonestOracleError):
         secret_from_cdh(liar, o)
+    # a handle modulo another prime is a caller error, not a lying oracle
+    c11 = honest_cdh_oracle(IdentityOracle.level1(PrimeModulus(11), 3), ESCROW)
+    o7 = IdentityOracle.level1(pm, 3)
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        secret_from_cdh(c11, o7)
+    assert c11.calls == 0 and o7.queries == 0
 
 
 def test_secret_from_cdh_random_outcomes():

@@ -17,6 +17,14 @@ def test_unknown_command_exit_1(capsys):
 def test_unknown_flag_exit_1(capsys):
     assert main(["secret", "--p", "7", "--frob"]) == 1
     assert main(["adversary", "--p", "5", "--t", "7"]) == 1  # no --t flag any more
+    # each command refuses the shared options its handler does not read
+    ddh = ["ddh", "--p", "5", "--secret", "2", "--g", "1,0", "--h", "0,1", "--k", "0,1", "--l", "4,0"]
+    assert main(["secret", "--p", "7", "--trials", "3"]) == 1
+    assert main(ddh + ["--out", "ddh.txt"]) == 1
+    assert main(["lift", "--p", "7", "--format", "json"]) == 1
+    assert main(["embed", "--p", "11", "--q", "23", "--trials", "3"]) == 1
+    assert main(["adversary", "--p", "5", "--seed", "3"]) == 1
+    assert main(["grover", "--p", "101", "--trials", "3"]) == 1
 
 
 def test_bad_input_exit_1(capsys):

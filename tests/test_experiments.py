@@ -8,7 +8,6 @@ import pytest
 from dhbox.algorithms import dh_polynomial, DHInstance, honest_cdh_oracle, honest_dlog_oracle
 from dhbox.blackbox import Escrow, GroupElement, IdentityOracle
 from dhbox.experiments import (
-    ExperimentConfig,
     format_value,
     max_line_solution_count,
     rows_to_csv,
@@ -233,9 +232,3 @@ def test_trial_rng_streams_are_stable():
     c = trial_rng(7, 1, 3).integers(0, 1000, size=5)
     assert (a == b).all()
     assert not (a == c).all()
-
-
-def test_experiment_config_is_frozen():
-    cfg = ExperimentConfig(command="scaling", p=(101,), seed=7, trials=100)
-    with pytest.raises(AttributeError):
-        cfg.seed = 8
