@@ -20,7 +20,7 @@ from .blackbox import (
     _check_escrow,
     canonical_element,
     coset_label,
-    grover_from_identity,
+    first_on_line,
 )
 from .modmath import PrimeModulus, Residue, _inv_int, _nonresidue_int, _roots_int, is_prime
 
@@ -33,6 +33,23 @@ class NotAGeneratorError(ValueError):
 
 class DishonestOracleError(RuntimeError):
     """An oracle's answer is inconsistent with its problem contract."""
+
+
+def _label_quotient(n: NormalVector, g: GroupElement, *factors: GroupElement) -> int:
+    """The product of the factors' coset labels divided by g's label.
+
+    label(h)/label(g) answers DLOG and label(h)*label(k)/label(g) is the
+    label of the CDH answer.  A g of label zero generates nothing and
+    raises :class:`NotAGeneratorError`.
+    """
+    p = n.modulus.p
+    fg = coset_label(n, g).value
+    if fg == 0:
+        raise NotAGeneratorError("g has label zero, so it does not generate the group")
+    acc = _inv_int(fg, p)
+    for f in factors:
+        acc = acc * coset_label(n, f).value % p
+    return acc
 
 
 class DHInstance(NamedTuple):
@@ -106,13 +123,9 @@ def honest_dlog_oracle(oracle, escrow: Escrow) -> DlogOracle:
     and it answers through coset labels without spending counted queries.
     """
     n = oracle.reveal_hidden(escrow)
-    p = n.modulus.p
 
     def solve(g: GroupElement, h: GroupElement) -> int:
-        fg = coset_label(n, g).value
-        if fg == 0:
-            raise NotAGeneratorError("DLOG instance with non-generator g")
-        return coset_label(n, h).value * _inv_int(fg, p) % p
+        return _label_quotient(n, g, h)
 
     return DlogOracle(solve, n.modulus)
 
@@ -130,12 +143,7 @@ def honest_cdh_oracle(oracle, escrow: Escrow, rng=None) -> CdhOracle:
     t = n.level
 
     def solve(g: GroupElement, h: GroupElement, k: GroupElement) -> GroupElement:
-        fg = coset_label(n, g).value
-        if fg == 0:
-            raise NotAGeneratorError("CDH instance with non-generator g")
-        label = (
-            coset_label(n, h).value * coset_label(n, k).value * _inv_int(fg, p)
-        ) % p
+        label = _label_quotient(n, g, h, k)
         if rng is None:
             return canonical_element(modulus, label, t)
         tail = tuple(int(c) for c in rng.integers(0, p, size=t))
@@ -188,15 +196,10 @@ def ddh_decide_level1(oracle, inst: DHInstance, check_generator: bool = True) ->
     _check_same_modulus(oracle, inst)
     if check_generator and oracle.query(inst.g) == 1:
         raise NotAGeneratorError("DDH instance with non-generator g")
-    p = inst.modulus.p
     a2, a1, a0 = dh_polynomial(inst)
     if a2 == 0 and a1 == 0:
         return 1 if a0 == 0 else 0
-    roots = _roots_int(a2, a1, a0, p)
-    for r in roots:
-        if oracle.query_coords((r, p - 1)) == 1:
-            return 1
-    return 0
+    return 0 if first_on_line(oracle, _roots_int(a2, a1, a0, inst.modulus.p)) is None else 1
 
 
 def secret_from_dlog(dlog: DlogOracle) -> Residue:
@@ -257,11 +260,10 @@ def secret_from_cdh(cdh: CdhOracle, oracle, nonresidue: Optional[Residue] = None
     k = GroupElement((1, 1), modulus)
     l = cdh(g, h, k)
     l0, l1 = l.coords
-    roots = _roots_int(1, 1 - l1, -l0, p, _nonresidue_int(nonresidue, p))
-    for r in roots:
-        if oracle.query_coords((r, p - 1)) == 1:
-            return Residue(r, modulus)
-    raise DishonestOracleError("no root of the CDH answer passes the identity test")
+    s = first_on_line(oracle, _roots_int(1, 1 - l1, -l0, p, _nonresidue_int(nonresidue, p)))
+    if s is None:
+        raise DishonestOracleError("no root of the CDH answer passes the identity test")
+    return Residue(s, modulus)
 
 
 def secret_from_cdh_random(cdh: CdhOracle, oracle, rng) -> Optional[Residue]:
@@ -294,10 +296,8 @@ def secret_from_cdh_random(cdh: CdhOracle, oracle, rng) -> Optional[Residue]:
     a2, a1, a0 = dh_polynomial(inst)
     if a2 == 0:
         return None
-    for r in _roots_int(a2, a1, a0, p):
-        if oracle.query_coords((r, p - 1)) == 1:
-            return Residue(r, modulus)
-    return None
+    s = first_on_line(oracle, _roots_int(a2, a1, a0, p))
+    return None if s is None else Residue(s, modulus)
 
 
 def brute_force_secret(oracle, rng=None) -> Residue:
@@ -309,12 +309,10 @@ def brute_force_secret(oracle, rng=None) -> Residue:
     p queries.
     """
     p = oracle.modulus.p
-    candidates = range(p) if rng is None else rng.permutation(p)
-    for x in candidates:
-        x = int(x)
-        if grover_from_identity(oracle, x) == 1:
-            return Residue(x, oracle.modulus)
-    raise DishonestOracleError("no candidate passed the identity test")
+    s = first_on_line(oracle, range(p) if rng is None else map(int, rng.permutation(p)))
+    if s is None:
+        raise DishonestOracleError("no candidate passed the identity test")
+    return Residue(s, oracle.modulus)
 
 
 def brute_force_hidden_vector(oracle) -> NormalVector:
@@ -349,13 +347,7 @@ def dlog_given_secret(secret, g: GroupElement, h: GroupElement) -> Residue:
     Costs zero oracle queries; the labels are computed from the secret.
     """
     s = secret.value if isinstance(secret, Residue) else secret
-    modulus = g.modulus
-    p = modulus.p
-    fg = (g.coords[0] + g.coords[1] * s) % p
-    if fg == 0:
-        raise NotAGeneratorError("g has label zero under the recovered secret")
-    fh = (h.coords[0] + h.coords[1] * s) % p
-    return Residue(fh * _inv_int(fg, p), modulus)
+    return Residue(_label_quotient(NormalVector.level1(g.modulus, s), g, h), g.modulus)
 
 
 def cdh_given_secret(secret, inst: DHInstance) -> GroupElement:
@@ -365,13 +357,8 @@ def cdh_given_secret(secret, inst: DHInstance) -> GroupElement:
     """
     s = secret.value if isinstance(secret, Residue) else secret
     modulus = inst.modulus
-    p = modulus.p
-    fg = (inst.g.coords[0] + inst.g.coords[1] * s) % p
-    if fg == 0:
-        raise NotAGeneratorError("g has label zero under the recovered secret")
-    fh = (inst.h.coords[0] + inst.h.coords[1] * s) % p
-    fk = (inst.k.coords[0] + inst.k.coords[1] * s) % p
-    return canonical_element(modulus, fh * fk * _inv_int(fg, p), 1)
+    n = NormalVector.level1(modulus, s)
+    return canonical_element(modulus, _label_quotient(n, inst.g, inst.h, inst.k), 1)
 
 
 def lift_element(h: GroupElement) -> GroupElement:
@@ -529,11 +516,4 @@ def ddh_decide_by_search(oracle, inst: DHInstance) -> int:
     inst.check()
     _check_same_modulus(oracle, inst)
     n = brute_force_hidden_vector(oracle)
-    p = n.modulus.p
-    fg = coset_label(n, inst.g).value
-    if fg == 0:
-        raise NotAGeneratorError("DDH instance with non-generator g")
-    fh = coset_label(n, inst.h).value
-    fk = coset_label(n, inst.k).value
-    fl = coset_label(n, inst.l).value
-    return 1 if fg * fl % p == fh * fk % p else 0
+    return 1 if _label_quotient(n, inst.g, inst.h, inst.k) == coset_label(n, inst.l).value else 0

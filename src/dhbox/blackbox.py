@@ -25,7 +25,7 @@ query count meaningful.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .modmath import PrimeModulus, Residue
 
@@ -58,6 +58,14 @@ def _check_escrow(escrow) -> None:
         raise EscrowError("hidden state requires an Escrow token")
 
 
+def _canonical_coords(coords: Sequence[int], p: int) -> Tuple[int, ...]:
+    """Coordinates reduced mod p, refusing fewer than two of them."""
+    coords = tuple(c % p for c in coords)
+    if len(coords) < 2:
+        raise ValueError(f"need at least two coordinates, got {len(coords)}")
+    return coords
+
+
 class GroupElement:
     """A coordinate vector in Z_p^(t+1), one representative of a group class.
 
@@ -69,11 +77,8 @@ class GroupElement:
     __slots__ = ("coords", "modulus")
 
     def __init__(self, coords: Sequence[int], modulus: PrimeModulus):
-        p = modulus.p
-        self.coords = tuple(c % p for c in coords)
+        self.coords = _canonical_coords(coords, modulus.p)
         self.modulus = modulus
-        if len(self.coords) < 2:
-            raise ValueError("group elements need at least two coordinates")
 
     @classmethod
     def zero(cls, modulus: PrimeModulus, level: int) -> "GroupElement":
@@ -151,11 +156,8 @@ class NormalVector:
     __slots__ = ("coords", "modulus")
 
     def __init__(self, coords: Sequence[int], modulus: PrimeModulus):
-        p = modulus.p
-        self.coords = tuple(c % p for c in coords)
+        self.coords = _canonical_coords(coords, modulus.p)
         self.modulus = modulus
-        if len(self.coords) < 2:
-            raise ValueError("a normal vector needs at least two coordinates")
         if self.coords[0] != 1:
             raise ValueError(
                 f"normalized normal vector must start with 1, got {self.coords[0]}"
@@ -188,39 +190,6 @@ class NormalVector:
 
     def __repr__(self) -> str:
         return f"NormalVector({self.coords} mod {self.modulus.p})"
-
-
-class LinearPoly:
-    """The affine form h_0 + sum_i h_i x_i attached to an ambient vector.
-
-    Evaluating the form of h at the hidden coordinates (n_1, ..., n_t)
-    gives exactly the scalar product of h with the normal vector, which is
-    what turns membership questions into polynomial root questions.
-    """
-
-    __slots__ = ("coeffs", "modulus")
-
-    def __init__(self, coeffs: Sequence[int], modulus: PrimeModulus):
-        p = modulus.p
-        self.coeffs = tuple(c % p for c in coeffs)
-        self.modulus = modulus
-
-    def evaluate(self, point: Sequence[int]) -> Residue:
-        if len(point) != len(self.coeffs) - 1:
-            raise ValueError(
-                f"expected {len(self.coeffs) - 1} coordinates, got {len(point)}"
-            )
-        acc = self.coeffs[0]
-        for c, x in zip(self.coeffs[1:], point):
-            acc += c * x
-        return Residue(acc, self.modulus)
-
-    def __repr__(self) -> str:
-        return f"LinearPoly({self.coeffs} mod {self.modulus.p})"
-
-
-def linear_form(h: GroupElement) -> LinearPoly:
-    return LinearPoly(h.coords, h.modulus)
 
 
 class OracleBase:
@@ -279,10 +248,7 @@ class RawOracle(OracleBase):
     __slots__ = ("_normal",)
 
     def __init__(self, normal: Sequence[int], modulus: PrimeModulus, budget: Optional[int] = None):
-        p = modulus.p
-        normal = tuple(c % p for c in normal)
-        if len(normal) < 2:
-            raise ValueError("a normal vector needs at least two coordinates")
+        normal = _canonical_coords(normal, modulus.p)
         if not any(normal):
             raise ValueError("normal vector must be nonzero")
         super().__init__(modulus, len(normal) - 1, budget)
@@ -392,15 +358,27 @@ def equal_in_group(oracle, a: GroupElement, b: GroupElement) -> int:
     return oracle.query(a - b)
 
 
-def grover_from_identity(oracle, x: int) -> int:
-    """Point-search answer for x through one level-1 identity query.
+def first_on_line(oracle, candidates: Iterable[int]) -> Optional[int]:
+    """The first candidate secret that a level-1 identity oracle accepts.
 
-    (x, -1) lies on the hidden line exactly when x equals the secret.
+    (x, -1) lies on the hidden line exactly when x equals the secret, so
+    each candidate tried costs one identity query, in the given order,
+    and the search stops at the first accepted one.  Returns None when
+    no candidate is accepted.
     """
     if oracle.level != 1:
         raise ValueError(f"level-1 oracle required, got level {oracle.level}")
     p = oracle.modulus.p
-    return oracle.query_coords((x % p, p - 1))
+    query_coords = oracle.query_coords
+    for x in candidates:
+        if query_coords((x % p, p - 1)) == 1:
+            return x
+    return None
+
+
+def grover_from_identity(oracle, x: int) -> int:
+    """Point-search answer for x through one level-1 identity query."""
+    return 0 if first_on_line(oracle, (x,)) is None else 1
 
 
 def identity_from_grover(grover: GroverOracle, h: GroupElement) -> int:

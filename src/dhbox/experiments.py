@@ -13,10 +13,8 @@ runs with the same configuration are byte-identical.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -262,9 +260,9 @@ def run_level2_solution_counts(p: int, trials: int, seed: int, force: bool = Fal
     """Fraction of random level-2 quadruples with a line of > 2 solutions.
 
     Instances are drawn uniformly; each is checked exhaustively against
-    every line.  The fraction is compared with 7/p plus three binomial
-    sigmas.  The per-sample cost is O(p^3) grid work, hence the guard
-    (p <= 31 unless ``force`` is set).
+    every line.  The fraction is compared with min(1, 7/p) plus three
+    binomial sigmas.  The per-sample cost is O(p^3) grid work, hence the
+    guard (p <= 31 unless ``force`` is set).
     """
     check_enumeration_guard(p, force)
     bad = 0
@@ -282,7 +280,7 @@ def run_level2_solution_counts(p: int, trials: int, seed: int, force: bool = Fal
             bad_samples.append(
                 SolutionCountSample(instance=(g, h, k, l), worst_line=line, solution_count=count)
             )
-    bound = 7 / p
+    bound = min(1.0, 7 / p)
     sigma = math.sqrt(bound * (1 - bound) / trials)
     fraction = bad / trials
     threshold = bound + 3 * sigma
@@ -305,8 +303,6 @@ def format_value(x) -> str:
         return "true" if x else "false"
     if isinstance(x, float):
         return format(x, ".12g")
-    if isinstance(x, Fraction):
-        return str(x)
     return str(x)
 
 
@@ -318,15 +314,3 @@ def rows_to_csv(rows: Sequence[dict]) -> str:
     for row in rows:
         lines.append(",".join(format_value(row[key]) for key in header))
     return "\n".join(lines) + "\n"
-
-
-def write_rows(path: str, rows: Sequence[dict], fmt: str = "csv") -> None:
-    """Write experiment rows as CSV or JSON with stable bytes."""
-    if fmt == "csv":
-        text = rows_to_csv(rows)
-    elif fmt == "json":
-        text = json.dumps(list(rows), indent=2) + "\n"
-    else:
-        raise ValueError(f"unknown format {fmt!r}, expected csv or json")
-    with open(path, "w", newline="") as fh:
-        fh.write(text)

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .algorithms import DishonestOracleError
-from .blackbox import Escrow
+from .blackbox import Escrow, first_on_line
 
 MAX_STATES = 1 << 22
 _NORM_TOL = 1e-9
@@ -121,7 +121,7 @@ def grover_search(oracle, iterations: Optional[int] = None, rng=None) -> GroverR
     # so a budget below k allocates nothing.  Each asks about the escrowed
     # target, which must lie on the oracle's hidden line.
     for _ in range(k):
-        if oracle.query_coords((target, p - 1)) != 1:
+        if first_on_line(oracle, (target,)) is None:
             raise DishonestOracleError(f"oracle rejects its escrowed secret {target}")
     amplitudes = simulate_search(p, target, k)
     probs = np.abs(amplitudes) ** 2
@@ -159,10 +159,8 @@ def quantum_query_curve(ps: Sequence[int]) -> List[CurvePoint]:
     """
     points = []
     for p in ps:
-        if p > MAX_STATES:
-            raise ValueError(f"p = {p} exceeds the memory guard {MAX_STATES}")
+        amplitudes = simulate_search(p, 0, 0)
         bound = math.ceil(math.pi / 4 * math.sqrt(p))
-        amplitudes = np.full(p, 1.0 / math.sqrt(p), dtype=np.complex128)
         k = 0
         success = float(abs(amplitudes[0]) ** 2)
         while success < 2 / 3:

@@ -379,6 +379,20 @@ def test_cdh_given_secret():
         assert ddh_decide_level1(o, DHInstance(g, h, k, l), check_generator=False) == 1
 
 
+def test_given_secret_refuses_level2_and_mixed_modulus():
+    pm, pm11 = PrimeModulus(7), PrimeModulus(11)
+    g2, h2 = GroupElement((1, 0, 5), pm), GroupElement((0, 1, 4), pm)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        dlog_given_secret(3, g2, h2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cdh_given_secret(3, DHInstance(g2, h2, h2))
+    g, h11 = elem(pm, 1, 0), elem(pm11, 0, 1)
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        dlog_given_secret(3, g, h11)
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        cdh_given_secret(3, DHInstance(g, h11, elem(pm, 0, 1)))
+
+
 # ------------------------------------------------------------- lift / project
 
 

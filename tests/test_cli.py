@@ -115,6 +115,11 @@ def test_level2_subcommand(tmp_path):
     assert payload["within_threshold"] is True
 
 
+def test_level2_subcommand_smallest_prime(capsys):
+    assert main(["level2-counts", "--p", "5", "--trials", "50", "--seed", "9"]) == 0
+    assert json.loads(capsys.readouterr().out)["bound"] == 1.0
+
+
 def test_byte_identical_reruns(tmp_path):
     for cmd, fname in (
         (["scaling", "--p", "11,13", "--trials", "150", "--seed", "6"], "a.csv"),

@@ -115,6 +115,8 @@ def test_guards():
         simulate_search(10, 10, 1)
     with pytest.raises(ValueError):
         simulate_search(1, 0, 1)
+    with pytest.raises(ValueError):
+        quantum_query_curve([MAX_STATES + 1])
     pm = PrimeModulus(7)
     from dhbox.blackbox import random_identity_oracle
 
