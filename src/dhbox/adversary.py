@@ -12,11 +12,11 @@ the randomized and quantum query complexity.
 Row sums of the restricted matrix depend only on h, the polarity of the
 row vector and its oracle answer at h, so the search over all admissible
 (n, n', h) collapses to one pass over h with four counts per h:
-positives/negatives on and off the hyperplane of h.  Counting is
-vectorized; the minimization is done in exact rationals so reported
-values never owe anything to float rounding.  The reduction is a plain
-minimum, hence insensitive to any chunking or parallel split of the h
-range.
+positives/negatives on and off the hyperplane of h.  Counting and
+minimization are vectorized; the minimum is found by exact integer
+comparisons, so reported values never owe anything to float rounding.
+The reduction is a plain minimum, hence insensitive to any chunking or
+parallel split of the h range.
 """
 
 from __future__ import annotations
@@ -236,59 +236,71 @@ def _first_vector(p: int, positive: bool, h: Tuple[int, int, int], answer: int) 
     raise AssertionError("no vector matches an admissible kind")
 
 
+def _first_min(num: np.ndarray, den: np.ndarray) -> int:
+    """Index of the first exact minimum of the fractions num / den.
+
+    Division is correctly rounded and so monotone: the exact minimum is
+    among the candidates whose float equals the float minimum.  Starting
+    from the first of those, step to the first candidate that is
+    exactly smaller (by cross-multiplication; products stay below p^4)
+    until none is.  Every candidate before the one reached is larger.
+    """
+    ratio = num / den
+    tied = np.flatnonzero(ratio == ratio.min())
+    tn, td = num[tied], den[tied]
+    best = 0
+    while True:
+        lower = tn * td[best] < tn[best] * td
+        if not lower.any():
+            return int(tied[best])
+        best = int(np.argmax(lower))
+
+
 def adversary_bounds(p: int, force: bool = False) -> AdversaryReport:
     """Exact worst-case adversary ratios by full enumeration over queries.
 
     For every query h and each of the two admissible answer patterns, the
     randomized candidate is max of the two row-sum ratios and the quantum
-    candidate is the product ratio; both are minimized over all h in
-    exact rational arithmetic, with lexicographically first witnesses.
+    candidate is the product ratio; both are minimized over all h, with
+    lexicographically first witnesses.
 
-    Enumeration is O(p^3) queries with O(p) counting work each; the guard
-    rejects p beyond 31 unless ``force`` is set.
+    The p^3 queries are counted by ``_hyperplane_counts`` and the
+    candidates compared as int64 arrays by cross-multiplication, which is
+    exact while p^4 < 2^63 (far beyond what the counting can hold in
+    memory); only the two minima become ``Fraction``s.  The guard rejects
+    p beyond 31 unless ``force`` is set.
     """
     check_enumeration_guard(p, force)
     pos_on, neg_on, pos_off, neg_off = _hyperplane_counts(p)
     sp = p * p - p + 1  # row sum at a positive vector
     sn = p - 1  # row sum at a negative vector
 
-    best_rand: Optional[Fraction] = None
-    best_rand_key = None
-    best_quad: Optional[Fraction] = None
-    best_quad_key = None
-
-    n_h = p**3
-    for i in range(n_h):
-        po = int(pos_on[i])
-        no = int(neg_on[i])
-        pf = int(pos_off[i])
-        nf = int(neg_off[i])
-        # Kind A: positive row answers 1, negative row answers 0.
-        if po >= 1 and nf >= 1:
-            rand = max(Fraction(sp, nf), Fraction(sn, po))
-            quad = Fraction(sp * sn, nf * po)
-            if best_rand is None or rand < best_rand:
-                best_rand, best_rand_key = rand, (i, 1, nf, po)
-            if best_quad is None or quad < best_quad:
-                best_quad, best_quad_key = quad, (i, 1, nf, po)
-        # Kind B: positive row answers 0, negative row answers 1.
-        if pf >= 1 and no >= 1:
-            rand = max(Fraction(sp, no), Fraction(sn, pf))
-            quad = Fraction(sp * sn, no * pf)
-            if best_rand is None or rand < best_rand:
-                best_rand, best_rand_key = rand, (i, 0, no, pf)
-            if best_quad is None or quad < best_quad:
-                best_quad, best_quad_key = quad, (i, 0, no, pf)
-
-    if best_rand is None or best_quad is None:
+    # Candidate j = 2*i + kind for query i: kind A (j even) has the positive
+    # row answer 1 and the negative row 0; kind B (j odd) the reverse.  This
+    # is the order of a loop over h trying A before B, so the first minimum
+    # below is the loop's first strict minimum.
+    sig_n = np.stack([neg_off, neg_on], axis=1).ravel()
+    sig_np = np.stack([pos_on, pos_off], axis=1).ravel()
+    admissible = np.flatnonzero((sig_n >= 1) & (sig_np >= 1))
+    if admissible.size == 0:
         raise AssertionError("no admissible (n, n', h) found")
+    a, b = sig_n[admissible], sig_np[admissible]
 
-    def witness(key) -> Witness:
-        i, pos_answer, sig_n, sig_np = key
+    # Randomized: max(sp/a, sn/b), the first ratio when sp*b >= sn*a.
+    first = sp * b >= sn * a
+    r = _first_min(np.where(first, sp, sn), np.where(first, a, b))
+    # Quantum: sp*sn/(a*b) is smallest where the integer a*b is largest.
+    q = int(np.argmax(a * b))
+    best_rand = Fraction(sp, int(a[r])) if first[r] else Fraction(sn, int(b[r]))
+    best_quad = Fraction(sp * sn, int(a[q] * b[q]))
+
+    def witness(c: int) -> Witness:
+        i, kind = divmod(int(admissible[c]), 2)
         h = (i // (p * p), (i // p) % p, i % p)
+        pos_answer = 1 - kind
         n = _first_vector(p, True, h, pos_answer)
         n_prime = _first_vector(p, False, h, 1 - pos_answer)
-        return Witness(n, n_prime, h, sig_n, sig_np)
+        return Witness(n, n_prime, h, int(a[c]), int(b[c]))
 
     return AdversaryReport(
         p=p,
@@ -299,6 +311,6 @@ def adversary_bounds(p: int, force: bool = False) -> AdversaryReport:
         worst_ratio_randomized=best_rand,
         worst_ratio_quantum_squared=best_quad,
         worst_ratio_quantum=float(best_quad) ** 0.5,
-        witness_randomized=witness(best_rand_key),
-        witness_quantum=witness(best_quad_key),
+        witness_randomized=witness(r),
+        witness_quantum=witness(q),
     )

@@ -25,6 +25,7 @@ query count meaningful.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .modmath import PrimeModulus, Residue
@@ -59,8 +60,12 @@ def _check_escrow(escrow) -> None:
 
 
 def _canonical_coords(coords: Sequence[int], p: int) -> Tuple[int, ...]:
-    """Coordinates reduced mod p, refusing fewer than two of them."""
-    coords = tuple(c % p for c in coords)
+    """Coordinates as Python ints reduced mod p, refusing fewer than two.
+
+    ``operator.index`` refuses floats and turns fixed-width integers
+    (numpy's int64) into ints, whose arithmetic cannot wrap.
+    """
+    coords = tuple([c % p for c in map(operator.index, coords)])
     if len(coords) < 2:
         raise ValueError(f"need at least two coordinates, got {len(coords)}")
     return coords

@@ -145,7 +145,8 @@ def build_parser() -> _Parser:
     row_options = dict(seed=True, out=True, fmt=True)
     add("scaling", "brute-force query scaling across primes", trials=10000, **row_options)
     add("reductions", "random-instance reduction success rates", trials=10000, **row_options)
-    add("level2-counts", "random level-2 instance line-solution counts", trials=1000, **row_options)
+    sp = add("level2-counts", "random level-2 instance line-solution counts", trials=1000, **row_options)
+    sp.add_argument("--force", action="store_true", help="override the enumeration guard")
     return parser
 
 
@@ -301,7 +302,7 @@ def _cmd_reductions(args) -> int:
 
 
 def _cmd_level2(args) -> int:
-    result = run_level2_solution_counts(_single_p(args), args.trials, args.seed)
+    result = run_level2_solution_counts(_single_p(args), args.trials, args.seed, force=args.force)
     payload = result.to_dict()
     if args.out is not None and args.format == "csv":
         flat = {k: v for k, v in payload.items() if k != "bad_samples"}

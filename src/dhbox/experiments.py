@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .algorithms import (
     secret_from_dlog_random,
 )
 from .blackbox import Escrow, IdentityOracle
-from .modmath import PrimeModulus, _inv_int
+from .modmath import PrimeModulus, _inv_int, _sqrt_int
 
 
 def trial_rng(seed: int, *labels: int) -> np.random.Generator:
@@ -179,7 +179,8 @@ class SolutionCountSample:
 
     ``solution_count`` is the largest number of common zeros of the
     quadruple polynomial and a line (1, u1, u2), (u1, u2) != (0, 0),
-    obtained by full enumeration of the p^2 grid (ground truth).
+    which is p for a bad instance: its worst line is a component of the
+    polynomial's zero set (see ``first_component_line``).
     """
 
     instance: Tuple[Tuple[int, int, int], ...]
@@ -238,6 +239,90 @@ def max_line_solution_count(p: int, g, h, k, l) -> Tuple[int, Tuple[int, int, in
     return best, best_u
 
 
+def _query_line(c: int, u1: int, u2: int, p: int) -> Optional[Tuple[int, int, int]]:
+    """The query line (1, u1/c, u2/c), or None when c + u1 x + u2 y = 0
+    passes through the origin (c = 0) or is the line at infinity."""
+    c, u1, u2 = c % p, u1 % p, u2 % p
+    if c == 0 or u1 == u2 == 0:
+        return None
+    inv = _inv_int(c, p)
+    return (1, u1 * inv % p, u2 * inv % p)
+
+
+def first_component_line(p: int, g, h, k, l) -> Optional[Tuple[int, int, int]]:
+    """First query line on which the quadruple polynomial vanishes, or None.
+
+    Homogenised, (g.v)(l.v) - (h.v)(k.v) is the ternary quadratic form of
+    the symmetric matrix N = A + A^T with A = g l^T - h k^T (twice the
+    form's matrix, which changes no rank or square class since p is odd).
+    A line meets a conic in at most two points unless it is a component,
+    so an instance is bad exactly when some query line 1 + u1 x + u2 y is
+    a component of the form; such a line holds all of its p points.
+
+    - rank 3 (det N != 0): a smooth conic, no component;
+    - rank 2: two lines through the kernel point K, defined over F_p
+      exactly when the form on a plane complementary to K has a square
+      discriminant;
+    - rank 1: the form is c L^2 for L any nonzero row of N;
+    - N = 0: every line is a component.
+
+    Among the admissible components the first in the grid's scan order is
+    returned (u2 = 0 block first, then (u1, u2) lexicographic), so this
+    agrees with ``max_line_solution_count``, the p x p reference, on every
+    instance with a line of more than two solutions.  O(1) per instance.
+    """
+    g0, g1, g2 = g
+    h0, h1, h2 = h
+    k0, k1, k2 = k
+    l0, l1, l2 = l
+    n00 = 2 * (g0 * l0 - h0 * k0) % p
+    n11 = 2 * (g1 * l1 - h1 * k1) % p
+    n22 = 2 * (g2 * l2 - h2 * k2) % p
+    n01 = (g0 * l1 + g1 * l0 - h0 * k1 - h1 * k0) % p
+    n02 = (g0 * l2 + g2 * l0 - h0 * k2 - h2 * k0) % p
+    n12 = (g1 * l2 + g2 * l1 - h1 * k2 - h2 * k1) % p
+    # Cofactors: their matrix C is det(N) N^-1.  At rank 2 it is mu K K^T,
+    # so C_jj != 0 exactly where K_j != 0; at rank 1 or 0 it vanishes.
+    c00 = (n11 * n22 - n12 * n12) % p
+    c01 = (n12 * n02 - n01 * n22) % p
+    c02 = (n01 * n12 - n11 * n02) % p
+    if (n00 * c00 + n01 * c01 + n02 * c02) % p:
+        return None
+    n = ((n00, n01, n02), (n01, n11, n12), (n02, n12, n22))
+    c11 = (n00 * n22 - n02 * n02) % p
+    c22 = (n00 * n11 - n01 * n01) % p
+    if not (c00 or c11 or c22):
+        row = next((row for row in n if any(row)), None)
+        return (1, 1, 0) if row is None else _query_line(*row, p)
+    c12 = (n01 * n02 - n00 * n12) % p
+    cof = ((c00, c01, c02), (c01, c11, c12), (c02, c12, c22))
+    j = 0 if c00 else 1 if c11 else 2
+    kx, ky, kz = cof[j]
+    roots = _sqrt_int(-cof[j][j], p)
+    if roots is None:
+        return None
+    # On the plane of the unit vectors e_i1, e_i2, which completes K to a
+    # basis, the form is a s^2 + 2b st + c t^2 with ac - b^2 = C_jj.
+    i1, i2 = (j + 1) % 3, (j + 2) % 3
+    a, b, c = n[i1][i1], n[i1][i2], n[i2][i2]
+    if a:
+        zeros = [(-b + r, a) for r in roots]
+    elif c:
+        zeros = [(c, -b + r) for r in roots]
+    else:
+        zeros = [(1, 0), (0, 1)]
+    lines = []
+    for s, t in zeros:
+        w = [0, 0, 0]
+        w[i1], w[i2] = s, t
+        # The component through K and w has coefficients K x w.
+        line = _query_line(ky * w[2] - kz * w[1], kz * w[0] - kx * w[2], kx * w[1] - ky * w[0], p)
+        if line is not None:
+            lines.append(line)
+    # The grid's scan order: u2 = 0 block first, then (u1, u2).
+    return min(lines, key=lambda u: (u[2] != 0, u[1], u[2]), default=None)
+
+
 @dataclass(frozen=True)
 class Level2Result:
     """Aggregate of the random-instance line-solution experiment."""
@@ -259,10 +344,10 @@ class Level2Result:
 def run_level2_solution_counts(p: int, trials: int, seed: int, force: bool = False) -> Level2Result:
     """Fraction of random level-2 quadruples with a line of > 2 solutions.
 
-    Instances are drawn uniformly; each is checked exhaustively against
-    every line.  The fraction is compared with min(1, 7/p) plus three
-    binomial sigmas.  The per-sample cost is O(p^3) grid work, hence the
-    guard (p <= 31 unless ``force`` is set).
+    Instances are drawn uniformly; each is checked against every line by
+    ``first_component_line`` in O(1).  The fraction is compared with
+    min(1, 7/p) plus three binomial sigmas.  The guard refuses p > 31
+    unless ``force`` is set.
     """
     check_enumeration_guard(p, force)
     bad = 0
@@ -274,11 +359,11 @@ def run_level2_solution_counts(p: int, trials: int, seed: int, force: bool = Fal
         h = (int(c[3]), int(c[4]), int(c[5]))
         k = (int(c[6]), int(c[7]), int(c[8]))
         l = (int(c[9]), int(c[10]), int(c[11]))
-        count, line = max_line_solution_count(p, g, h, k, l)
-        if count > 2:
+        line = first_component_line(p, g, h, k, l)
+        if line is not None:
             bad += 1
             bad_samples.append(
-                SolutionCountSample(instance=(g, h, k, l), worst_line=line, solution_count=count)
+                SolutionCountSample(instance=(g, h, k, l), worst_line=line, solution_count=p)
             )
     bound = min(1.0, 7 / p)
     sigma = math.sqrt(bound * (1 - bound) / trials)

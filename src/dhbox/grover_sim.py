@@ -48,19 +48,26 @@ def optimal_iterations(n_states: int) -> int:
 
 
 def _check_norm(amplitudes: np.ndarray) -> None:
-    norm = float(np.linalg.norm(amplitudes))
+    norm = math.sqrt(np.vdot(amplitudes, amplitudes).real)
     if abs(norm - 1.0) > _NORM_TOL:
         raise NormDriftError(f"state norm drifted to {norm!r}")
 
 
 def _step(amplitudes: np.ndarray, target: int) -> np.ndarray:
     """One Grover iteration: phase flip at the target, then inversion
-    about the mean."""
+    about the mean.  Returns a new array; the reference for ``_step_in_place``."""
     amplitudes = amplitudes.copy()
     amplitudes[target] = -amplitudes[target]
     amplitudes = 2 * amplitudes.mean() - amplitudes
     _check_norm(amplitudes)
     return amplitudes
+
+
+def _step_in_place(amplitudes: np.ndarray, target: int) -> None:
+    """``_step`` without the copies: the same operations, so the same bits."""
+    amplitudes[target] = -amplitudes[target]
+    np.subtract(2 * amplitudes.mean(), amplitudes, out=amplitudes)
+    _check_norm(amplitudes)
 
 
 def simulate_search(n_states: int, target: int, iterations: int) -> np.ndarray:
@@ -78,7 +85,7 @@ def simulate_search(n_states: int, target: int, iterations: int) -> np.ndarray:
     amplitudes = np.full(n_states, 1.0 / math.sqrt(n_states), dtype=np.complex128)
     _check_norm(amplitudes)
     for _ in range(iterations):
-        amplitudes = _step(amplitudes, target)
+        _step_in_place(amplitudes, target)
     return amplitudes
 
 
@@ -168,7 +175,7 @@ def quantum_query_curve(ps: Sequence[int]) -> List[CurvePoint]:
                 raise AssertionError(
                     f"success 2/3 not reached within ceil(pi/4 sqrt(p)) = {bound}"
                 )
-            amplitudes = _step(amplitudes, 0)
+            _step_in_place(amplitudes, 0)
             k += 1
             success = float(abs(amplitudes[0]) ** 2)
         points.append(CurvePoint(p=p, iterations=k, success_probability=success))

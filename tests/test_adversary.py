@@ -7,6 +7,8 @@ import pytest
 
 from dhbox.adversary import (
     ClassifiedVector,
+    _first_min,
+    _hyperplane_counts,
     adversary_bounds,
     build_gamma,
     case_count_extremes,
@@ -17,6 +19,7 @@ from dhbox.adversary import (
     sigma_gamma,
     sigma_gamma_h,
 )
+from dhbox.modmath import is_prime
 
 
 def brute_force_minima(p):
@@ -200,6 +203,58 @@ def test_adversary_ratio_growth():
         ratios.append(Fraction(rep.worst_ratio_randomized, p))
     assert all(a <= b for a, b in zip(ratios, ratios[1:]))
     assert min(ratios) >= Fraction(1, 3)
+
+
+def rational_loop_minima(p):
+    """Reference minimisation: a per-h loop over the hyperplane counts in
+    exact rationals, trying kind A (positive row answers 1) before kind B
+    and keeping the first strict minimum.  Returns (value, h, sigma_h_n,
+    sigma_h_n') for the randomized and the quantum ratio."""
+    pos_on, neg_on, pos_off, neg_off = _hyperplane_counts(p)
+    sp, sn = p * p - p + 1, p - 1
+    best = {"r": None, "q": None}
+    for i in range(p**3):
+        h = (i // (p * p), (i // p) % p, i % p)
+        for a, b in ((int(neg_off[i]), int(pos_on[i])), (int(neg_on[i]), int(pos_off[i]))):
+            if a < 1 or b < 1:
+                continue
+            for key, value in (("r", max(Fraction(sp, a), Fraction(sn, b))), ("q", Fraction(sp * sn, a * b))):
+                if best[key] is None or value < best[key][0]:
+                    best[key] = (value, h, a, b)
+    return best["r"], best["q"]
+
+
+def test_adversary_minimum_matches_rational_loop():
+    # The vectorised exact minimum picks the same values and the same
+    # first witnesses as the loop over h in exact rationals.
+    for p in (3, 5, 7, 11, 13, 17, 19):
+        rep = adversary_bounds(p)
+        ref_r, ref_q = rational_loop_minima(p)
+        for (value, h, a, b), got, wit in (
+            (ref_r, rep.worst_ratio_randomized, rep.witness_randomized),
+            (ref_q, rep.worst_ratio_quantum_squared, rep.witness_quantum),
+        ):
+            assert got == value
+            assert (wit.h, wit.sigma_h_n, wit.sigma_h_n_prime) == (h, a, b)
+
+
+def test_first_min_is_exact():
+    # 10^16 + 1 and 10^16 round to the same float; only the exact
+    # comparison finds the smaller one.
+    big = 10**16
+    assert _first_min(np.array([big + 1, big]), np.array([1, 1])) == 1
+    assert _first_min(np.array([3, 2, 1, 2]), np.array([4, 4, 2, 4])) == 1
+    assert _first_min(np.array([5, big + 1, 7, big]), np.array([1, 1, 1, 1])) == 0
+
+
+def test_adversary_closed_forms_up_to_61():
+    for p in (q for q in range(5, 62) if is_prime(q)):
+        rep = adversary_bounds(p, force=True)
+        assert rep.worst_ratio_randomized == Fraction(p - 1, 2)
+        assert rep.worst_ratio_quantum_squared == Fraction(
+            (p * p - p + 1) * (p - 1), 2 * (p * p - 2 * p + 3)
+        )
+        assert rep.witness_randomized.h == rep.witness_quantum.h == (0, 1, 2)
 
 
 def test_enumeration_guard():

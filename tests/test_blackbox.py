@@ -43,6 +43,17 @@ def test_element_arithmetic_examples():
     assert (a - a).coords == (0, 0, 0)
 
 
+def test_coordinates_are_exact_ints():
+    # int64 coordinates become Python ints: 5 * (2^61 - 3) would wrap in int64.
+    p = 2**61 - 1
+    e = GroupElement(np.array([p - 2, p - 9], dtype=np.int64), PrimeModulus(p)) * 5
+    assert e.coords == (5 * (p - 2) % p, 5 * (p - 9) % p)
+    assert all(type(c) is int for c in e.coords)
+    for make in (GroupElement, NormalVector):
+        with pytest.raises(TypeError):
+            make((1.5, 2), PrimeModulus(7))
+
+
 def test_element_mismatch_rejected():
     a = GroupElement((1, 0), PrimeModulus(5))
     b = GroupElement((1, 0, 0), PrimeModulus(5))

@@ -120,6 +120,13 @@ def test_level2_subcommand_smallest_prime(capsys):
     assert json.loads(capsys.readouterr().out)["bound"] == 1.0
 
 
+def test_level2_subcommand_force(capsys):
+    assert main(["level2-counts", "--p", "37", "--trials", "20"]) == 1
+    assert "exceeds the enumeration guard 31" in capsys.readouterr().err
+    assert main(["level2-counts", "--p", "61", "--trials", "20", "--seed", "1", "--force"]) == 0
+    assert json.loads(capsys.readouterr().out)["p"] == 61
+
+
 def test_byte_identical_reruns(tmp_path):
     for cmd, fname in (
         (["scaling", "--p", "11,13", "--trials", "150", "--seed", "6"], "a.csv"),

@@ -8,6 +8,7 @@ import pytest
 from dhbox.algorithms import dh_polynomial, DHInstance, honest_cdh_oracle, honest_dlog_oracle
 from dhbox.blackbox import Escrow, GroupElement, IdentityOracle
 from dhbox.experiments import (
+    first_component_line,
     format_value,
     max_line_solution_count,
     rows_to_csv,
@@ -17,7 +18,7 @@ from dhbox.experiments import (
     trial_rng,
     wilson_interval,
 )
-from dhbox.modmath import PrimeModulus, _roots_int
+from dhbox.modmath import PrimeModulus, _roots_int, is_prime
 
 ESCROW = Escrow()
 
@@ -183,6 +184,81 @@ def test_level2_counts_against_direct_enumeration():
         assert got == worst
 
 
+def _assert_kernel_matches_grid(p, g, h, k, l):
+    count, line = max_line_solution_count(p, g, h, k, l)
+    got = first_component_line(p, g, h, k, l)
+    if count > 2:
+        assert (count, got) == (p, line), (p, g, h, k, l)
+    else:
+        assert got is None, (p, g, h, k, l)
+    return got
+
+
+def test_component_line_matches_grid_on_seeded_samples():
+    # The draws of run_level2_solution_counts, and the same draws with
+    # some coordinates zeroed, which makes degenerate forms common.
+    for p in (q for q in range(3, 32) if is_prime(q)):
+        bad = 0
+        for t in range(300):
+            rng = trial_rng(1, t)
+            c = rng.integers(0, p, size=12)
+            if t % 2:
+                c[rng.integers(0, 12, size=int(rng.integers(1, 10)))] = 0
+            g, h, k, l = (tuple(int(x) for x in c[i:i + 3]) for i in (0, 3, 6, 9))
+            bad += _assert_kernel_matches_grid(p, g, h, k, l) is not None
+        assert bad > 0
+
+
+@pytest.mark.parametrize(
+    "case, p, instance, expected",
+    [
+        # N = 0: every line is a component; the first is (1, 1, 0).
+        ("zero form", 7, ((1, 2, 3), (1, 2, 3), (4, 5, 6), (4, 5, 6)), (1, 1, 0)),
+        # Rank 1: (1 + 2x + 3y)^2.
+        ("rank 1, admissible", 7, ((1, 2, 3), (0, 0, 0), (0, 0, 0), (1, 2, 3)), (1, 2, 3)),
+        # Rank 1: (x + 2y)^2, a double line through the origin.
+        ("rank 1, through origin", 7, ((0, 1, 2), (0, 0, 0), (0, 0, 0), (0, 1, 2)), None),
+        # Rank 1: the constant 1, whose double line lies at infinity.
+        ("rank 1, at infinity", 7, ((1, 0, 0), (0, 0, 0), (0, 0, 0), (1, 0, 0)), None),
+        # Rank 2 split: (1 + 2x + 3y)(2 + x + 5y); (1, 4, 6) comes later.
+        ("rank 2, split", 7, ((1, 2, 3), (0, 0, 0), (0, 0, 0), (2, 1, 5)), (1, 2, 3)),
+        # Rank 2 split, u2 = 0 block first: (1 + 2x + y)(1 + 3x).
+        ("rank 2, u2 = 0 first", 7, ((1, 2, 1), (0, 0, 0), (0, 0, 0), (1, 3, 0)), (1, 3, 0)),
+        # Rank 2 split: (x - 1)^2 - 2 (y - 2)^2 = (x - 3y + 5)(x + 3y) mod 7;
+        # the second line passes through the origin.
+        ("rank 2, one line through origin", 7,
+         ((6, 1, 0), (3, 0, 2), (5, 0, 1), (6, 1, 0)), (1, 3, 5)),
+        # Rank 2, both lines through the origin: xy.
+        ("rank 2, x y", 7, ((0, 1, 0), (0, 0, 0), (0, 0, 0), (0, 0, 1)), None),
+        # Rank 2 non-split: (x - 1)^2 - 3 (y - 2)^2, 3 a non-residue mod 7.
+        ("rank 2, non-split", 7, ((6, 1, 0), (1, 0, 3), (5, 0, 1), (6, 1, 0)), None),
+        # Rank 3: a smooth conic.
+        ("rank 3", 7, ((3, 4, 6), (5, 4, 3), (3, 6, 1), (5, 4, 0)), None),
+    ],
+)
+def test_component_line_cases(case, p, instance, expected):
+    assert _assert_kernel_matches_grid(p, *instance) == expected
+
+
+def test_level2_p3_exhaustive_bad_count():
+    # Frozen: 213921 of the 3^12 = 531441 instances at p = 3 have a line
+    # with more than two solutions.  The kernel reads an instance only
+    # through N = A + A^T, A = g l^T - h k^T, so it is asked once per
+    # distinct N (first instance with it) and weighted by the count of N.
+    p = 3
+    inst = np.indices((p,) * 12).reshape(12, -1).T
+    g, h, k, l = inst[:, 0:3], inst[:, 3:6], inst[:, 6:9], inst[:, 9:12]
+    a = g[:, :, None] * l[:, None, :] - h[:, :, None] * k[:, None, :]
+    n = ((a + a.transpose(0, 2, 1)) % p).reshape(len(inst), 9)
+    _, first, counts = np.unique(n @ p ** np.arange(9), return_index=True, return_counts=True)
+    bad = sum(
+        int(count)
+        for i, count in zip(first, counts)
+        if first_component_line(p, *(tuple(int(x) for x in inst[i, j:j + 3]) for j in (0, 3, 6, 9)))
+    )
+    assert (len(inst), bad) == (531441, 213921)
+
+
 def test_level2_experiment_run():
     res = run_level2_solution_counts(13, 200, seed=4)
     assert res.trials == 200
@@ -206,6 +282,10 @@ def test_level2_smallest_primes():
 def test_level2_guard():
     with pytest.raises(ValueError):
         run_level2_solution_counts(37, 10, seed=0)
+    res = run_level2_solution_counts(61, 50, seed=0, force=True)
+    assert res.within_threshold
+    for sample in res.bad_samples:
+        assert sample.solution_count == 61
 
 
 def test_format_value():

@@ -8,6 +8,9 @@ from dhbox.blackbox import IdentityOracle, NormalVector, QueryBudgetExceeded
 from dhbox.grover_sim import (
     MAX_STATES,
     GroverRun,
+    NormDriftError,
+    _step,
+    _step_in_place,
     closed_form_success,
     fit_sqrt_coefficient,
     grover_search,
@@ -46,6 +49,28 @@ def test_simulator_matches_closed_form():
 def test_norm_preserved_along_run():
     amp = simulate_search(1009, 17, 24)
     assert abs(np.linalg.norm(amp) - 1) < 1e-9
+
+
+def test_in_place_steps_match_copying_reference():
+    for p, target, k in ((4, 2, 1), (101, 0, 9), (1009, 17, 24), (65537, 65536, 5)):
+        ref = np.full(p, 1 / math.sqrt(p), dtype=np.complex128)
+        for _ in range(k):
+            ref = _step(ref, target)
+        assert np.array_equal(simulate_search(p, target, k), ref)
+    for p in (3, 101, 1009):
+        amp = np.full(p, 1 / math.sqrt(p), dtype=np.complex128)
+        k = 0
+        while abs(amp[0]) ** 2 < 2 / 3:
+            amp = _step(amp, 0)
+            k += 1
+        (point,) = quantum_query_curve([p])
+        assert (point.iterations, point.success_probability) == (k, float(abs(amp[0]) ** 2))
+
+
+def test_norm_checked_after_in_place_step():
+    amp = np.full(8, 0.5, dtype=np.complex128)  # norm sqrt(2)
+    with pytest.raises(NormDriftError):
+        _step_in_place(amp, 0)
 
 
 def test_query_accounting_and_determinism():
