@@ -10,6 +10,7 @@ levels and to ordinary prime-order groups.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from .blackbox import (
@@ -21,6 +22,7 @@ from .blackbox import (
     canonical_element,
     coset_label,
     first_on_line,
+    scan_line,
 )
 from .modmath import PrimeModulus, Residue, _inv_int, _nonresidue_int, _roots_int, is_prime
 
@@ -318,23 +320,17 @@ def brute_force_secret(oracle, rng=None) -> Residue:
 def brute_force_hidden_vector(oracle) -> NormalVector:
     """Recover the full hidden vector coordinate by coordinate.
 
-    Coordinate i is found by scanning x and asking whether x*e_0 - e_i
-    lies on the hyperplane, which holds exactly at x = n_i.  At most p
-    queries per coordinate, so t*p in total at level t.
+    Coordinate i is found by one line scan over x = 0, 1, ..., asking
+    whether x*e_0 - e_i lies on the hyperplane, which holds exactly at
+    x = n_i.  At most p queries per coordinate, so t*p in total at level t.
     """
     p = oracle.modulus.p
-    t = oracle.level
-    width = t + 1
+    width = oracle.level + 1
+    e0 = (1,) + (0,) * (width - 1)
     found = []
     for i in range(1, width):
-        hit = None
-        for x in range(p):
-            probe = [0] * width
-            probe[0] = x
-            probe[i] = p - 1
-            if oracle.query_coords(tuple(probe)) == 1:
-                hit = x
-                break
+        minus_ei = tuple(p - 1 if j == i else 0 for j in range(width))
+        hit = scan_line(oracle, minus_ei, e0, range(p))
         if hit is None:
             raise DishonestOracleError(f"no candidate for coordinate {i} accepted")
         found.append(hit)
@@ -410,6 +406,9 @@ class LiftedOracle(OracleBase):
     def query_coords(self, coords) -> int:
         return self._base.query_coords(coords[:-1])
 
+    def scan_line(self, base, step, candidates) -> Optional[int]:
+        return scan_line(self._base, base[:-1], step[:-1], candidates)
+
     def reveal_hidden(self, escrow: Escrow) -> NormalVector:
         base = self._base.reveal_hidden(escrow)
         return NormalVector(base.coords + (0,), base.modulus)
@@ -435,11 +434,12 @@ class EmbeddedOracle(OracleBase):
 
     def __init__(self, modulus: PrimeModulus, q: int, generators: Tuple[int, int, int, int]):
         p = modulus.p
+        q = operator.index(q)
         if not is_prime(q):
             raise ValueError(f"{q} is not prime")
         if (q - 1) % p != 0:
             raise ValueError(f"{p} does not divide {q} - 1")
-        gens = tuple(g % q for g in generators)
+        gens = tuple([operator.index(g) % q for g in generators])
         if len(gens) != 4:
             raise ValueError("exactly four subgroup elements required")
         for g in gens:

@@ -6,14 +6,19 @@ only access to the hidden structure is the identity oracle, which answers
 whether a vector lies on the hyperplane and charges one counted query per
 evaluation.
 
-Every identity oracle derives from :class:`OracleBase`, whose
-``query_coords`` is the one counted query path: it holds the dimension
-check, the only counter and the budget, and leaves each leaf oracle
-(:class:`RawOracle`, :class:`IdentityOracle`, the embedded oracle of
-``algorithms``) only its answer rule.  Views (:class:`PermutedOracle`,
-the lifted oracle) keep no counter: they map coordinates and charge
-through the oracle they wrap.  :class:`GroverOracle` asks a level-1
-identity oracle, so point-search queries use the same counter too.
+Every identity oracle derives from :class:`OracleBase`, which holds the
+dimension check, the only counter and the budget, and leaves each leaf
+oracle (:class:`RawOracle`, :class:`IdentityOracle`, the embedded oracle
+of ``algorithms``) only its answer rule.  The counter has two entry
+points: ``query_coords`` charges one query, and ``scan_line`` charges one
+query per candidate x of a line base + x*step, in order, up to the first
+accepted one.  A raw oracle answers a whole scan in one loop over plain
+ints; every other oracle scans through ``query_coords``, so both entry
+points ask and charge the same queries.  Views (:class:`PermutedOracle`,
+the lifted oracle) keep no counter: they map coordinates, or a scan's
+base and step, and charge through the oracle they wrap.
+:class:`GroverOracle` asks a level-1 identity oracle, so point-search
+queries use the same counter too.
 
 Everything that would let algorithm code peek at the hidden normal vector
 is gated behind an explicit :class:`Escrow` capability.  Reference maps
@@ -26,6 +31,7 @@ query count meaningful.
 from __future__ import annotations
 
 import operator
+from itertools import islice
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .modmath import PrimeModulus, Residue
@@ -200,13 +206,18 @@ class NormalVector:
 class OracleBase:
     """The one identity-oracle core: checks, counter and budget.
 
-    ``query_coords`` is the single counted query path: it refuses a query
-    of the wrong length or beyond the budget, counts the rest, and
-    returns the leaf's answer rule ``_answer(coords)``.  Views (permuted,
-    lifted) leave the counter unset; they map coordinates and pass the
-    query to the oracle they wrap, which checks and charges it.  A view
-    uses only the public surface of what it wraps, so a wrapped oracle
-    may itself be a view or a proxy.
+    One counter and budget, with two entry points.  ``query_coords``
+    refuses a query of the wrong length or beyond the budget, counts the
+    rest, and returns the leaf's answer rule ``_answer(coords)``.
+    ``scan_line`` asks the queries base + x*step for each candidate x in
+    order and stops at the first accepted one; by default it loops
+    through ``query_coords``, and a leaf may answer the whole scan
+    itself as long as it asks, charges and refuses exactly the same
+    queries.  Views (permuted, lifted) leave the counter unset; they map
+    coordinates, or a scan's base and step, and pass the query or scan
+    to the oracle they wrap, which checks and charges it.  A view uses
+    only the public surface of what it wraps, so a wrapped oracle may
+    itself be a view or a proxy.
     """
 
     __slots__ = ("modulus", "level", "_queries", "_budget")
@@ -233,12 +244,25 @@ class OracleBase:
                 f"query has {len(coords)} coordinates"
             )
         if self._budget is not None and self._queries >= self._budget:
-            raise QueryBudgetExceeded(f"query budget of {self._budget} exhausted")
+            raise self._over_budget()
         self._queries += 1
         return self._answer(coords)
 
+    def _over_budget(self) -> QueryBudgetExceeded:
+        """The refusal of a query beyond the budget; it is not counted."""
+        return QueryBudgetExceeded(f"query budget of {self._budget} exhausted")
+
     def _answer(self, coords: Sequence[int]) -> int:
         raise NotImplementedError
+
+    def scan_line(self, base: Sequence[int], step: Sequence[int], candidates: Iterable[int]) -> Optional[int]:
+        """The first candidate x whose query base + x*step (mod p) is accepted.
+
+        Each candidate tried costs one query, in the given order, and the
+        scan stops at the first accepted one.  Returns None when no
+        candidate is accepted.
+        """
+        return _scan_by_queries(self, base, step, candidates)
 
 
 class RawOracle(OracleBase):
@@ -259,11 +283,55 @@ class RawOracle(OracleBase):
         super().__init__(modulus, len(normal) - 1, budget)
         self._normal = normal
 
+    # False in a subclass that overrides _answer or query_coords (a lying
+    # test oracle, a recorder): its scans must ask query by query.
+    _own_rule = True
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._own_rule = (
+            cls._answer is RawOracle._answer and cls.query_coords is OracleBase.query_coords
+        )
+
     def _answer(self, coords: Sequence[int]) -> int:
         acc = 0
         for c, nc in zip(coords, self._normal):
             acc += c * nc
         return 1 if acc % self.modulus.p == 0 else 0
+
+    def scan_line(self, base: Sequence[int], step: Sequence[int], candidates: Iterable[int]) -> Optional[int]:
+        """The scan of :meth:`OracleBase.scan_line` in one loop over plain ints.
+
+        The query base + x*step is accepted exactly when
+        c0 + x*c1 = 0 (mod p), with c0 = n.base and c1 = n.step for the
+        hidden normal n.  The candidates tried are charged together, and
+        a scan that outruns the budget is refused at the same candidate,
+        with the same count, as the query-by-query loop.  A subclass that
+        changes the answer rule scans query by query instead.
+        """
+        if not self._own_rule:
+            return _scan_by_queries(self, base, step, candidates)
+        _check_line(self, base, step)
+        p = self.modulus.p
+        c0 = c1 = 0
+        for b, s, nc in zip(base, step, self._normal):
+            c0 += b * nc
+            c1 += s * nc
+        c0 %= p
+        c1 %= p
+        rest = iter(candidates)
+        scan = rest if self._budget is None else islice(rest, max(self._budget - self._queries, 0))
+        tried = 0
+        try:
+            for tried, x in enumerate(scan, 1):
+                if (c0 + x * c1) % p == 0:
+                    return x
+        finally:
+            self._queries += tried
+        # The budget cut the scan short if a candidate is left over.
+        for _ in rest:
+            raise self._over_budget()
+        return None
 
     def reveal_normal(self, escrow: Escrow) -> Tuple[int, ...]:
         _check_escrow(escrow)
@@ -318,12 +386,18 @@ class PermutedOracle(OracleBase):
         return self._raw.queries
 
     def query_coords(self, coords: Sequence[int]) -> int:
+        return self._raw.query_coords(self._permute(coords))
+
+    def scan_line(self, base: Sequence[int], step: Sequence[int], candidates: Iterable[int]) -> Optional[int]:
+        return scan_line(self._raw, self._permute(base), self._permute(step), candidates)
+
+    def _permute(self, coords: Sequence[int]) -> Sequence[int]:
         perm = self.perm
-        # A query of the wrong length goes through unpermuted, and the
+        # A vector of the wrong length goes through unpermuted, and the
         # wrapped oracle, which has the same level, refuses it.
         if len(coords) == len(perm):
-            coords = tuple(map(coords.__getitem__, perm))
-        return self._raw.query_coords(coords)
+            return tuple(map(coords.__getitem__, perm))
+        return coords
 
     def reveal_hidden(self, escrow: Escrow) -> NormalVector:
         _check_escrow(escrow)
@@ -363,6 +437,43 @@ def equal_in_group(oracle, a: GroupElement, b: GroupElement) -> int:
     return oracle.query(a - b)
 
 
+def _check_line(oracle, base: Sequence[int], step: Sequence[int]) -> None:
+    width = oracle.level + 1
+    if len(base) != width or len(step) != width:
+        raise ValueError(
+            f"dimension mismatch: oracle level {oracle.level}, line has "
+            f"{len(base)} and {len(step)} coordinates"
+        )
+
+
+def _scan_by_queries(oracle, base: Sequence[int], step: Sequence[int], candidates: Iterable[int]) -> Optional[int]:
+    """The line scan query by query, through ``oracle.query_coords``."""
+    _check_line(oracle, base, step)
+    p = oracle.modulus.p
+    query_coords = oracle.query_coords
+    start = [b % p for b in base]
+    # Only the coordinates where the step is nonzero move with x.
+    moving = [(j, start[j], s % p) for j, s in enumerate(step) if s % p]
+    for x in candidates:
+        coords = start.copy()
+        for j, b, s in moving:
+            coords[j] = (b + x * s) % p
+        if query_coords(tuple(coords)) == 1:
+            return x
+    return None
+
+
+def scan_line(oracle, base: Sequence[int], step: Sequence[int], candidates: Iterable[int]) -> Optional[int]:
+    """:meth:`OracleBase.scan_line` on any oracle.
+
+    An oracle that is not an :class:`OracleBase` (a proxy, say) is
+    scanned query by query through its ``query_coords``.
+    """
+    if isinstance(oracle, OracleBase):
+        return oracle.scan_line(base, step, candidates)
+    return _scan_by_queries(oracle, base, step, candidates)
+
+
 def first_on_line(oracle, candidates: Iterable[int]) -> Optional[int]:
     """The first candidate secret that a level-1 identity oracle accepts.
 
@@ -373,12 +484,7 @@ def first_on_line(oracle, candidates: Iterable[int]) -> Optional[int]:
     """
     if oracle.level != 1:
         raise ValueError(f"level-1 oracle required, got level {oracle.level}")
-    p = oracle.modulus.p
-    query_coords = oracle.query_coords
-    for x in candidates:
-        if query_coords((x % p, p - 1)) == 1:
-            return x
-    return None
+    return scan_line(oracle, (0, oracle.modulus.p - 1), (1, 0), candidates)
 
 
 def grover_from_identity(oracle, x: int) -> int:

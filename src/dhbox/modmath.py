@@ -10,6 +10,7 @@ surface wraps them in small value types.
 
 from __future__ import annotations
 
+import operator
 from typing import Optional, Tuple, Union
 
 MAX_MODULUS = 1 << 61
@@ -90,13 +91,15 @@ class Residue:
 
     Immutable; arithmetic returns new residues and raises ValueError when
     the operands live modulo different primes.  Plain ints are accepted on
-    either side and reduced first.
+    either side and reduced first.  The value passes through
+    ``operator.index``, which refuses floats and turns fixed-width
+    integers (numpy's int64) into ints, whose arithmetic cannot wrap.
     """
 
     __slots__ = ("value", "modulus")
 
     def __init__(self, value: int, modulus: PrimeModulus):
-        self.value = value % modulus.p
+        self.value = operator.index(value) % modulus.p
         self.modulus = modulus
 
     def _coerce(self, other: Union["Residue", int]) -> int:

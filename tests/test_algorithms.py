@@ -533,6 +533,21 @@ def test_embed_validation():
         EmbeddedOracle(pm, 23, (1, 2, 2, 2))  # unit cannot generate
 
 
+def test_embedded_generators_are_exact_ints():
+    # q = 2^61 - 1 has an order-3 subgroup; numpy ints are taken as ints,
+    # so the 61-bit products cannot wrap, and floats are refused.
+    q = (1 << 61) - 1
+    g1 = pow(5, (q - 1) // 3, q)
+    gens = (g1, pow(g1, 2, q), pow(g1, 2, q), g1)  # a = b = 2, c = 4 = 1 mod 3
+    oracle, inst = embed_generic_group(PrimeModulus(3), np.int64(q), np.array(gens, dtype=np.int64))
+    assert oracle.generators == gens
+    assert all(type(g) is int for g in oracle.generators) and type(oracle.q) is int
+    assert oracle.reveal_hidden(ESCROW).coords == (1, 2, 2, 1)
+    assert ddh_decide_by_search(oracle, inst) == 1
+    with pytest.raises(TypeError):
+        EmbeddedOracle(PrimeModulus(11), 23, (2.0, 8, 16, 2))
+
+
 def test_embedded_oracle_hidden_vector():
     pm = PrimeModulus(11)
     oracle, _ = embed_fixture(pm, 23, 2, 3, 4, 1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhbox.algorithms import embed_generic_group, lift_oracle
+from dhbox.algorithms import brute_force_hidden_vector, embed_generic_group, lift_oracle
 from dhbox.blackbox import (
     Escrow,
     EscrowError,
@@ -14,16 +14,19 @@ from dhbox.blackbox import (
     IdentityOracle,
     MalformedOracleError,
     NormalVector,
+    PermutedOracle,
     QueryBudgetExceeded,
     RawOracle,
     canonical_element,
     coset_label,
     equal_in_group,
     field_mul,
+    first_on_line,
     grover_from_identity,
     identity_from_grover,
     normalize_oracle,
     random_identity_oracle,
+    scan_line,
 )
 from dhbox.modmath import PrimeModulus
 
@@ -107,7 +110,8 @@ def _lifted_view_case():
 def _embedded_case():
     # 2 has order 11 modulo 23; exponents (1, 3, 4, 1)
     o, _ = embed_generic_group(PrimeModulus(11), 23, (2, 8, 16, 2))
-    return o, o, None
+    o._budget = 6  # the embedding takes no budget argument; set the core's
+    return o, o, 6
 
 
 @pytest.mark.parametrize(
@@ -132,13 +136,170 @@ def test_query_counter_and_budget(make):
     with pytest.raises(ValueError):
         o.query(GroupElement((0,) * width, PrimeModulus(5)))
     assert o.queries == leaf.queries == start + 2
-    if budget is None:
-        return
     while leaf.queries < budget:
         o.query_coords((2,) * width)
     with pytest.raises(QueryBudgetExceeded):
         o.query_coords((2,) * width)
     assert o.queries == leaf.queries == budget  # the refused query is not counted
+    # A line scan runs out of the same budget, and stops at the same count.
+    o, leaf, budget = make()
+    with pytest.raises(QueryBudgetExceeded):
+        if o.level == 1:
+            first_on_line(o, range(o.modulus.p))
+        else:
+            brute_force_hidden_vector(o)
+    assert o.queries == leaf.queries == budget
+
+
+def _reference_scan(oracle, base, step, candidates):
+    # The plain loop that every line scan must match query for query.
+    p = oracle.modulus.p
+    for x in candidates:
+        if oracle.query_coords(tuple((b + x * s) % p for b, s in zip(base, step))) == 1:
+            return x
+    return None
+
+
+def _scan_outcome(scan, oracle, base, step, candidates):
+    """Return value or refusal, queries charged, and the candidates left over."""
+    it = iter(candidates)
+    try:
+        result = ("returned", scan(oracle, base, step, it))
+    except QueryBudgetExceeded as e:
+        result = ("refused", str(e))
+    return result, oracle.queries, list(it)
+
+
+class _Recorder:
+    """Duck-typed pass-through oracle that records every query it forwards."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.modulus = inner.modulus
+        self.level = inner.level
+        self.seen = []
+
+    @property
+    def queries(self):
+        return self.inner.queries
+
+    def query_coords(self, coords):
+        self.seen.append(tuple(coords))
+        return self.inner.query_coords(coords)
+
+
+def _orthogonal(vec, normal, p):
+    """vec changed in one coordinate so that normal . vec = 0 (mod p)."""
+    j = next(i for i, n in enumerate(normal) if n % p)
+    rest = sum(v * n for i, (v, n) in enumerate(zip(vec, normal)) if i != j)
+    vec = list(vec)
+    vec[j] = -rest * pow(normal[j], -1, p) % p
+    return tuple(vec)
+
+
+@st.composite
+def _line_scans(draw):
+    p = draw(st.sampled_from((3, 5, 7, 11, 101)))
+    width = draw(st.integers(2, 4))
+    coord = st.integers(0, p - 1)
+    normal = draw(st.lists(coord, min_size=width, max_size=width).filter(any))
+    if draw(st.booleans()):
+        normal[0] = 0
+        if not any(normal):
+            normal[-1] = 1
+    view = draw(st.sampled_from(("leaf", "permuted", "lifted")))
+    perm = tuple(draw(st.permutations(range(width))))
+    line_width = width + 1 if view == "lifted" else width
+    wide = st.integers(-3 * p, 3 * p)  # negative and unreduced coordinates
+    base = tuple(draw(st.lists(wide, min_size=line_width, max_size=line_width)))
+    step = tuple(draw(st.lists(wide, min_size=line_width, max_size=line_width)))
+    # The normal the line meets: the view's effective normal.
+    effective = {"leaf": normal, "permuted": [normal[i] for i in perm], "lifted": normal + [0]}[view]
+    if draw(st.booleans()):  # step parallel to the hyperplane: c1 = 0
+        step = _orthogonal(step, effective, p)
+        if draw(st.booleans()):  # base on the hyperplane: every candidate accepted
+            base = _orthogonal(base, effective, p)
+    kind = draw(st.sampled_from(("range", "permutation", "tuple", "empty")))
+    if kind == "range":
+        start = draw(st.integers(-p, p))
+        values = range(start, start + draw(st.integers(0, 2 * p)))
+    elif kind == "permutation":
+        values = np.random.default_rng(draw(st.integers(0, 2**32))).permutation(p)
+    elif kind == "tuple":
+        values = tuple(draw(st.lists(wide, max_size=2 * p)))
+    else:
+        values = ()
+    budget = draw(st.none() | st.integers(0, len(values) + 2))
+    spent = 0 if budget is None else draw(st.integers(0, budget))
+    proxied = draw(st.booleans())
+    return p, normal, view, perm, base, step, kind, values, budget, spent, proxied
+
+
+@settings(max_examples=400, deadline=None)
+@given(_line_scans())
+def test_line_scan_matches_query_loop(case):
+    # The fast scan of a raw oracle, directly or under a view, and the
+    # query-by-query scan of a duck-typed oracle (a recorder, which also
+    # logs what it is asked) against the plain loop.
+    p, normal, view, perm, base, step, kind, values, budget, spent, proxied = case
+    outcomes = []
+    for scan in (_reference_scan, scan_line):
+        raw = RawOracle(normal, PrimeModulus(p), budget=budget)
+        for _ in range(spent):
+            raw.query_coords((0,) * len(normal))
+        inner = _Recorder(raw) if proxied else raw
+        oracle = {"leaf": inner, "permuted": PermutedOracle(inner, perm), "lifted": lift_oracle(inner)}[view]
+        candidates = map(int, values) if kind == "permutation" else values
+        outcome = _scan_outcome(scan, oracle, base, step, candidates)
+        outcomes.append((outcome, inner.seen if proxied else None))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_line_scan_refuses_at_the_query_loop_point():
+    # Budget 3 with one query spent: candidates 0 and 1 are charged, and
+    # candidate 2 is drawn and refused, leaving 3 and 4 untouched.
+    pm = PrimeModulus(7)
+    o = IdentityOracle.level1(pm, 5, budget=3)
+    o.query_coords((0, 0))
+    it = iter(range(5))
+    with pytest.raises(QueryBudgetExceeded, match="query budget of 3 exhausted"):
+        first_on_line(o, it)
+    assert o.queries == 3
+    assert list(it) == [3, 4]
+    # An empty scan at a spent budget asks nothing, so nothing is refused.
+    assert first_on_line(o, ()) is None
+    with pytest.raises(ValueError):
+        o.scan_line((0, 6, 0), (1, 0, 0), range(7))
+
+
+def test_scan_believes_a_subclass_answer_rule():
+    # A subclass that changes the answer rule is asked query by query, so
+    # a scan believes its answers instead of the hidden normal's.
+    pm = PrimeModulus(7)
+
+    class _Liar(IdentityOracle):
+        __slots__ = ()
+
+        def _answer(self, coords):
+            return 1
+
+    liar = _Liar.level1(pm, 3)
+    assert first_on_line(liar, range(7)) == 0
+    assert liar.queries == 1
+    assert brute_force_hidden_vector(RawOracle((1, 2, 3), pm)).coords == (1, 2, 3)
+
+    class _Logged(IdentityOracle):
+        __slots__ = ("log",)
+
+        def query_coords(self, coords):
+            self.log.append(coords)
+            return super().query_coords(coords)
+
+    logged = _Logged.level1(pm, 3)
+    logged.log = []
+    assert first_on_line(logged, range(7)) == 3
+    assert logged.log == [(0, 6), (1, 6), (2, 6), (3, 6)]
+    assert logged.queries == 4
 
 
 def test_query_dimension_mismatch():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +62,16 @@ def test_wide_multiplication_against_bigint_reference():
     pm = PrimeModulus(M61)
     a = (1 << 60) - 1
     assert (pm.residue(a) * pm.residue(a)).value == a * a % M61
+
+
+def test_residue_values_are_exact_ints():
+    # int64 values would wrap in the product; floats are refused.
+    pm = PrimeModulus(M61)
+    product = pm.residue(np.int64(M61 - 2)) * pm.residue(np.int64(M61 - 3))
+    assert product.value == 6 and type(product.value) is int
+    assert type(pm.residue(np.int64(-1)).value) is int
+    with pytest.raises(TypeError):
+        PrimeModulus(7).residue(1.5)
 
 
 def test_modulus_mismatch_rejected():
