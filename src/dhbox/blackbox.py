@@ -295,7 +295,7 @@ class RawOracle(OracleBase):
 
     def _answer(self, coords: Sequence[int]) -> int:
         acc = 0
-        for c, nc in zip(coords, self._normal):
+        for c, nc in zip(map(operator.index, coords), self._normal):
             acc += c * nc
         return 1 if acc % self.modulus.p == 0 else 0
 
@@ -306,15 +306,22 @@ class RawOracle(OracleBase):
         c0 + x*c1 = 0 (mod p), with c0 = n.base and c1 = n.step for the
         hidden normal n.  The candidates tried are charged together, and
         a scan that outruns the budget is refused at the same candidate,
-        with the same count, as the query-by-query loop.  A subclass that
+        with the same count, as the query-by-query loop.  An empty tuple of
+        candidates asks nothing and returns None at once.  A subclass that
         changes the answer rule scans query by query instead.
+
+        Base and step pass through ``operator.index``; the candidates are
+        taken as they come, so callers hand in ints (a fixed-width integer
+        would wrap in x*c1).
         """
         if not self._own_rule:
             return _scan_by_queries(self, base, step, candidates)
         _check_line(self, base, step)
+        if isinstance(candidates, tuple) and not candidates:
+            return None
         p = self.modulus.p
         c0 = c1 = 0
-        for b, s, nc in zip(base, step, self._normal):
+        for b, s, nc in zip(map(operator.index, base), map(operator.index, step), self._normal):
             c0 += b * nc
             c1 += s * nc
         c0 %= p
@@ -451,9 +458,9 @@ def _scan_by_queries(oracle, base: Sequence[int], step: Sequence[int], candidate
     _check_line(oracle, base, step)
     p = oracle.modulus.p
     query_coords = oracle.query_coords
-    start = [b % p for b in base]
+    start = [b % p for b in map(operator.index, base)]
     # Only the coordinates where the step is nonzero move with x.
-    moving = [(j, start[j], s % p) for j, s in enumerate(step) if s % p]
+    moving = [(j, start[j], s % p) for j, s in enumerate(map(operator.index, step)) if s % p]
     for x in candidates:
         coords = start.copy()
         for j, b, s in moving:

@@ -2,16 +2,24 @@
 
 Everything downstream (oracles, reductions, enumerations) reduces to a
 handful of primitives implemented here: canonical residues, modular
-inverses, the Legendre symbol, Tonelli-Shanks square roots and exact root
-sets of polynomials of degree at most two.  Hot loops elsewhere use the
-private ``_*_int`` helpers, which work on plain integers; the public
-surface wraps them in small value types.
+inverses, the Legendre symbol, square roots and exact root sets of
+polynomials of degree at most two.  Hot loops elsewhere use the private
+``_*_int`` helpers, which work on plain integers; the public surface
+wraps them in small value types.
+
+Every square root goes through one kernel, ``_sqrt_int``: one
+exponentiation, then the discrete log in the 2-Sylow subgroup of F_p^*
+read in 8-bit digits from a per-prime table (Bernstein, "Faster square
+roots in annoying finite fields", 2001).  The table is built on the
+first root modulo a prime and kept in a bounded cache, so importing the
+module or constructing a ``PrimeModulus`` builds nothing.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Optional, Tuple, Union
+from functools import lru_cache
+from typing import Dict, Optional, Tuple, Union
 
 MAX_MODULUS = 1 << 61
 
@@ -186,6 +194,14 @@ def legendre(a: Residue) -> int:
     return _legendre_int(a.value, a.modulus.p)
 
 
+def _smallest_nonresidue(p: int) -> int:
+    """The smallest quadratic non-residue modulo the odd prime p."""
+    z = 2
+    while _legendre_int(z, p) != -1:
+        z += 1
+    return z
+
+
 def find_nonresidue(modulus: PrimeModulus, rng=None) -> Residue:
     """Return a quadratic non-residue modulo p.
 
@@ -196,10 +212,7 @@ def find_nonresidue(modulus: PrimeModulus, rng=None) -> Residue:
     """
     p = modulus.p
     if rng is None:
-        for c in range(2, p):
-            if _legendre_int(c, p) == -1:
-                return Residue(c, modulus)
-        raise AssertionError("unreachable: every odd prime has a non-residue")
+        return Residue(_smallest_nonresidue(p), modulus)
     while True:
         c = int(rng.integers(1, p))
         if _legendre_int(c, p) == -1:
@@ -221,48 +234,115 @@ def _nonresidue_int(nonresidue: Optional[Residue], p: int) -> Optional[int]:
     return nonresidue.value
 
 
+# Digit width of the 2-Sylow discrete log: a table of 2**8 roots of unity.
+_WINDOW = 8
+
+
+@lru_cache(maxsize=32)
+def _sylow2(p: int, z: Optional[int]) -> tuple:
+    """What the square-root kernel needs of p and the non-residue z.
+
+    With p - 1 = q * 2**s, c = z**q generates the 2-Sylow subgroup (order
+    2**s); z = None stands for the smallest non-residue.  Discrete logs e
+    to the base c are read in digits of w = min(8, s) bits, lowest first;
+    digit k covers bits [w*k, w*k + width) of e, and only the top digit
+    may be narrower than w.  Row m holds c**(-d * 2**m) for every digit
+    value d.  Returns, in order:
+
+    - (q - 1) / 2;
+    - the powers of two that lift t to the chain values t**(2**n) the
+      digits read, each from the one before, with n rising from the top
+      digit's n = 0;
+    - the table g**d -> d of the 2**w roots of unity, g = c**(2**(s - w));
+    - (offset, shift, correction rows) for each digit past the lowest;
+    - (offset, row) for each digit of e / 2;
+    - the digit mask 2**w - 1.
+
+    Built on the first root modulo p and cached; at p - 1 = 27 * 2**56 it
+    is the table and 7 rows, about 100 KiB.  A plain tuple: a NamedTuple
+    class would add to the module's import time.
+    """
+    if z is None:
+        z = _smallest_nonresidue(p)
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    w = min(_WINDOW, s)
+    c = pow(z, q, p)
+    c_inv = pow(c, -1, p)
+    g = pow(c, 1 << (s - w), p)
+    log = {}
+    x = 1
+    for d in range(1 << w):
+        log[x] = d
+        x = x * g % p
+
+    rows: Dict[int, Tuple[int, ...]] = {}
+
+    def row(m: int) -> Tuple[int, ...]:
+        if m not in rows:
+            base = pow(c_inv, 1 << m, p)
+            powers = [1]
+            for _ in range((1 << w) - 1):
+                powers.append(powers[-1] * base % p)
+            rows[m] = tuple(powers)
+        return rows[m]
+
+    offsets = range(0, s, w)
+    widths = [min(w, s - o) for o in offsets]
+    # Digit k reads the chain value t**(2**n_k).  Times the row
+    # offset_i + n_k entry of each lower digit d_i, it is g**(d_k << shift):
+    # the bits of e below digit k are gone and its own are at the top.
+    ns = [s - o - width for o, width in zip(offsets, widths)]
+    up = ns[::-1]
+    lifts = tuple(1 << (b - a) for a, b in zip([0] + up, up))
+    steps = tuple(
+        (offsets[k], w - widths[k], tuple(row(offsets[i] + ns[k]) for i in range(k)))
+        for k in range(1, len(ns))
+    )
+    halves = tuple((o, row(o)) for o in offsets if o < s - 1)
+    return q >> 1, lifts, log, steps, halves, (1 << w) - 1
+
+
 def _sqrt_int(a: int, p: int, nonresidue: Optional[int] = None) -> Optional[Tuple[int, int]]:
     """Both square roots of a modulo p as an ordered pair, or None.
 
-    Returns (0, 0) for a = 0 and None when a is a non-residue.  With a
-    known non-residue the Tonelli-Shanks branch is fully deterministic;
-    without one the deterministic candidate scan is used instead.
+    Returns (0, 0) for a = 0 and None when a is a non-residue.  With
+    p - 1 = q * 2**s, one exponentiation gives b = a**((q - 1) / 2), the
+    candidate r = a*b and t = a*b**2 = a**q in the 2-Sylow subgroup.  The
+    discrete log e of t to the base c = z**q is read from the squaring
+    chain of t in digits, each one lookup in the table of roots of unity
+    after the precomputed corrections for the digits below it; an odd
+    lowest digit means t**(2**(s-1)) = -1, a non-residue.  The root is
+    r * c**(-e/2).  The pair does not depend on the non-residue z used
+    (the supplied one, else the smallest).
     """
     a %= p
     if a == 0:
         return (0, 0)
-    if _legendre_int(a, p) != 1:
+    half_q, lifts, log, steps, halves, mask = _sylow2(p, nonresidue)
+    b = pow(a, half_q, p)
+    r = a * b % p
+    x = r * b % p
+    chain = []
+    for lift in lifts:
+        x = pow(x, lift, p)
+        chain.append(x)
+    e = log[chain.pop()]
+    if e & 1:
         return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    else:
-        # Tonelli-Shanks: write p - 1 = q * 2**s with q odd.
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        if nonresidue is None:
-            z = 2
-            while _legendre_int(z, p) != -1:
-                z += 1
-        else:
-            z = nonresidue % p
-        c = pow(z, q, p)
-        r = pow(a, (q + 1) // 2, p)
-        t = pow(a, q, p)
-        m = s
-        while t != 1:
-            t2i = t
-            i = 0
-            for i in range(1, m):
-                t2i = t2i * t2i % p
-                if t2i == 1:
-                    break
-            b = pow(c, 1 << (m - i - 1), p)
-            r = r * b % p
-            c = b * b % p
-            t = t * c % p
-            m = i
+    digits = [e]
+    for offset, shift, rows in steps:
+        x = chain.pop()
+        for d, row in zip(digits, rows):
+            x = x * row[d] % p
+        d = log[x] >> shift
+        digits.append(d)
+        e |= d << offset
+    e >>= 1
+    for offset, row in halves:
+        r = r * row[(e >> offset) & mask] % p
     return (r, p - r) if r <= p - r else (p - r, r)
 
 

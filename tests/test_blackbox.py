@@ -302,6 +302,63 @@ def test_scan_believes_a_subclass_answer_rule():
     assert logged.queries == 4
 
 
+def test_empty_scan_asks_nothing_after_the_checks():
+    pm = PrimeModulus(7)
+    o = IdentityOracle.level1(pm, 3, budget=0)
+    assert first_on_line(o, ()) is None
+    assert o.scan_line((1, 2), (3, 4), ()) is None
+    assert o.queries == 0
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        o.scan_line((0, 6, 0), (1, 0, 0), ())
+    # A quadratic with no root gives first_on_line an empty tuple; the
+    # level is still checked first.
+    level2 = IdentityOracle(NormalVector((1, 2, 3), pm))
+    with pytest.raises(ValueError, match="level-1 oracle required"):
+        first_on_line(level2, ())
+
+
+def test_query_coordinates_are_exact_ints():
+    # At p = 2^61 - 1, int64 coordinates times the 61-bit normal would
+    # wrap; they are taken as ints, and floats are refused.
+    p = 2**61 - 1
+    pm = PrimeModulus(p)
+    s = p - 10
+    leaf = IdentityOracle.level1(pm, s)
+    views = {
+        "leaf": (leaf, ()),
+        "permuted": (PermutedOracle(RawOracle((s, 1), pm), (1, 0)), ()),
+        "lifted": (lift_oracle(IdentityOracle.level1(pm, s)), (p - 3,)),
+    }
+    for name, (oracle, extra) in views.items():
+        on = np.array((s, p - 1) + extra, dtype=np.int64)
+        off = np.array((s - 1, p - 1) + extra, dtype=np.int64)
+        assert oracle.query_coords(on) == 1, name
+        assert oracle.query_coords(tuple(off)) == 0, name
+        base = np.array((0, p - 1) + extra, dtype=np.int64)
+        step = np.array((1, 0) + (0,) * len(extra), dtype=np.int64)
+        assert oracle.scan_line(base, step, [s - 1, s, s + 1]) == s, name
+        # Stepping by -1 from (0, -1): the secret is met at x = p - s = 10.
+        assert scan_line(_Proxy(oracle), base, (p - 1) * step, [9, 10]) == 10, name
+        assert oracle.queries == 6, name
+        with pytest.raises(TypeError):
+            oracle.query_coords((1.5, 2.0) + extra)
+        with pytest.raises(TypeError):
+            oracle.scan_line((0.0, -1.0) + extra, (1, 0) + (0,) * len(extra), [s])
+
+
+class _Proxy:
+    """Duck-typed oracle, scanned query by query; it takes ints only."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.modulus = inner.modulus
+        self.level = inner.level
+
+    def query_coords(self, coords):
+        assert all(type(c) is int for c in coords)
+        return self._inner.query_coords(coords)
+
+
 def test_query_dimension_mismatch():
     o = IdentityOracle.level1(PrimeModulus(7), 3)
     with pytest.raises(ValueError):

@@ -7,6 +7,9 @@ from dhbox.modmath import (
     ALL_RESIDUES,
     PrimeModulus,
     QuadraticPoly,
+    _legendre_int,
+    _sqrt_int,
+    _sylow2,
     find_nonresidue,
     is_prime,
     legendre,
@@ -150,11 +153,11 @@ def test_sqrt_examples():
 
 def test_sqrt_rejects_square_as_nonresidue():
     pm = PrimeModulus(7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="4 is a square modulo 7, not a non-residue"):
         sqrt_mod(pm.residue(2), nonresidue=pm.residue(4))
     # 2 is a non-residue modulo 11 and modulo 13, but only as a residue of 13
     # may it serve for a polynomial modulo 13
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="modulus mismatch: 11 vs 13"):
         solve_quadratic(
             QuadraticPoly.from_ints(PrimeModulus(13), 1, 0, -3),
             nonresidue=PrimeModulus(11).residue(2),
@@ -250,3 +253,146 @@ def test_sqrt_roundtrip_property(p, data):
     pair = sqrt_mod(square)
     assert pair is not None
     assert x % p in {pair[0].value, pair[1].value}
+
+
+# ------------------------------------------------------ square-root kernel
+
+PTS = 27 * (1 << 56) + 1  # p - 1 = 27 * 2**56
+# Primes with a large 2-part of p - 1: 2-adicity s = 20, 23, 27, 30, 56.
+HIGH_2ADIC = [7 * (1 << 20) + 1, 119 * (1 << 23) + 1, 15 * (1 << 27) + 1, 3 * (1 << 30) + 1, PTS]
+
+
+def tonelli_shanks(a, p):
+    """The Tonelli-Shanks loop the kernel replaced, kept as its reference."""
+    a %= p
+    if a == 0:
+        return (0, 0)
+    if _legendre_int(a, p) != 1:
+        return None
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            s += 1
+        z = 2
+        while _legendre_int(z, p) != -1:
+            z += 1
+        c = pow(z, q, p)
+        r = pow(a, (q + 1) // 2, p)
+        t = pow(a, q, p)
+        m = s
+        while t != 1:
+            t2i = t
+            i = 0
+            for i in range(1, m):
+                t2i = t2i * t2i % p
+                if t2i == 1:
+                    break
+            b = pow(c, 1 << (m - i - 1), p)
+            r = r * b % p
+            c = b * b % p
+            t = t * c % p
+            m = i
+    return (r, p - r) if r <= p - r else (p - r, r)
+
+
+def two_adicity(p):
+    return ((p - 1) & -(p - 1)).bit_length() - 1
+
+
+def test_sqrt_kernel_every_residue_below_2000():
+    # The pair of each square x**2 is (x, p - x) for x < p/2; every other
+    # nonzero residue is a non-residue.  Spot-checked against the loop.
+    for p in range(3, 2000):
+        if not is_prime(p):
+            continue
+        expected = {0: (0, 0)}
+        for x in range(1, (p + 1) // 2):
+            expected[x * x % p] = (x, p - x)
+        for a in range(p):
+            assert _sqrt_int(a, p) == expected.get(a), (a, p)
+        for a in range(0, p, 37):
+            assert tonelli_shanks(a, p) == expected.get(a)
+
+
+@pytest.mark.parametrize("p", [12289, 18433, 40961, 65537])
+def test_sqrt_kernel_short_and_full_top_digits(p):
+    # s = 12, 11, 13 leave a top digit of 4, 3 and 5 bits above the 8-bit
+    # ones; s = 16 is two full digits.  Every residue, against the loop.
+    s = two_adicity(p)
+    _, _, _, steps, _, _ = _sylow2(p, None)
+    assert len(steps) == 1 and steps[0][1] == (8 - s % 8) % 8
+    for a in range(p):
+        assert _sqrt_int(a, p) == tonelli_shanks(a, p), a
+
+
+@pytest.mark.parametrize("p", [13, 41, 17, 97, 193, 641, 257])
+def test_sqrt_kernel_one_digit_up_to_the_window(p):
+    # s = 2..8: one digit of s bits, no corrections.
+    s = two_adicity(p)
+    _, _, log, steps, _, _ = _sylow2(p, None)
+    assert len(log) == 1 << s and steps == ()
+    for a in range(p):
+        assert _sqrt_int(a, p) == tonelli_shanks(a, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(HIGH_2ADIC + [M61]), st.data())
+def test_sqrt_kernel_matches_reference_at_large_primes(p, data):
+    x = data.draw(st.integers(min_value=1, max_value=p - 1))
+    pair = _sqrt_int(x * x, p)
+    assert pair == tonelli_shanks(x * x, p)
+    assert pair == (min(x, p - x), max(x, p - x))
+    a = data.draw(st.integers(min_value=1, max_value=p - 1))
+    got = _sqrt_int(a, p)
+    assert got == tonelli_shanks(a, p)
+    assert (got is None) == (_legendre_int(a, p) == -1)
+
+
+def test_sqrt_kernel_digit_layout_at_large_primes():
+    # (offset, shift) of each digit past the lowest: only the top digit is
+    # short, and its shift moves its bits to the top of the 8-bit window.
+    layouts = {
+        7 * (1 << 20) + 1: [(8, 0), (16, 4)],
+        119 * (1 << 23) + 1: [(8, 0), (16, 1)],
+        3 * (1 << 30) + 1: [(8, 0), (16, 0), (24, 2)],
+        PTS: [(8 * k, 0) for k in range(1, 7)],
+        M61: [],
+    }
+    for p, layout in layouts.items():
+        _, _, _, steps, _, _ = _sylow2(p, None)
+        assert [(offset, shift) for offset, shift, _ in steps] == layout
+
+
+def test_sqrt_kernel_any_nonresidue_gives_the_same_pair():
+    for p in (13, 17, 41, 97, 257, 12289):
+        nonresidues = [z for z in range(2, p) if _legendre_int(z, p) == -1]
+        smallest = nonresidues[0]
+        for z in nonresidues[1:][:5] + nonresidues[-2:]:
+            assert z != smallest
+            for a in range(p):
+                assert _sqrt_int(a, p, z) == _sqrt_int(a, p)
+            pm = PrimeModulus(p)
+            assert sqrt_mod(pm.residue(p - 1), nonresidue=pm.residue(z)) == sqrt_mod(pm.residue(p - 1))
+    for p in HIGH_2ADIC:
+        z = next(z for z in range(p - 1, 1, -1) if _legendre_int(z, p) == -1)
+        for x in (1, 2, 3, 12345, p - 7):
+            assert _sqrt_int(x * x, p, z) == _sqrt_int(x * x, p) == tonelli_shanks(x * x, p)
+
+
+def test_find_nonresidue_is_the_kernels_smallest():
+    for p in (7, 41, 12289, PTS):
+        z = find_nonresidue(PrimeModulus(p)).value
+        assert z == next(c for c in range(2, p) if _legendre_int(c, p) == -1)
+        assert _sylow2(p, None) == _sylow2(p, z)
+
+
+def test_sqrt_kernel_cache_is_bounded():
+    maxsize = _sylow2.cache_info().maxsize
+    assert maxsize is not None
+    primes = [p for p in range(5, 4000) if is_prime(p)][: 2 * maxsize]
+    for p in primes:
+        assert _sqrt_int(4, p) == (2, p - 2)
+    assert _sylow2.cache_info().currsize <= maxsize
