@@ -24,7 +24,7 @@ from .blackbox import (
     first_on_line,
     scan_line,
 )
-from .modmath import PrimeModulus, Residue, _inv_int, _nonresidue_int, _roots_int, is_prime
+from .modmath import PrimeModulus, Residue, _inv_int, _roots_int, is_prime
 
 _MAX_RESAMPLES = 1000
 
@@ -245,14 +245,14 @@ def secret_from_dlog_random(dlog: DlogOracle, rng) -> Optional[Residue]:
     )
 
 
-def secret_from_cdh(cdh: CdhOracle, oracle, nonresidue: Optional[Residue] = None) -> Residue:
+def secret_from_cdh(cdh: CdhOracle, oracle) -> Residue:
     """Recover the hidden secret with a single CDH call.
 
     Asks the oracle to complete g = (1,0), h = (0,1), k = (1,1).  For the
     answer l, the quadruple polynomial is -x^2 + (l1 - 1)x + l0, so the
-    secret solves x^2 + (1 - l1)x - l0 = 0.  Both roots are computed (a
-    supplied quadratic non-residue makes that step deterministic) and at
-    most two identity queries pick out which root is the secret.
+    secret solves x^2 + (1 - l1)x - l0 = 0.  Both roots are computed
+    exactly and at most two identity queries pick out which root is the
+    secret.
     """
     _check_same_modulus(oracle, cdh)
     modulus = cdh.modulus
@@ -262,7 +262,7 @@ def secret_from_cdh(cdh: CdhOracle, oracle, nonresidue: Optional[Residue] = None
     k = GroupElement((1, 1), modulus)
     l = cdh(g, h, k)
     l0, l1 = l.coords
-    s = first_on_line(oracle, _roots_int(1, 1 - l1, -l0, p, _nonresidue_int(nonresidue, p)))
+    s = first_on_line(oracle, _roots_int(1, 1 - l1, -l0, p))
     if s is None:
         raise DishonestOracleError("no root of the CDH answer passes the identity test")
     return Residue(s, modulus)
@@ -426,7 +426,11 @@ class EmbeddedOracle(OracleBase):
     coordinates is the unit.  Writing g_i = g_1^(a_i), that product is
     g_1 raised to the scalar product of the query with (1, a_2, a_3, a_4),
     so this is an identity black-box group whose hidden vector encodes
-    the exponents.  Each query costs O(log p) counted modular
+    the exponents.  Each coordinate x is mapped with ``pow`` and charged
+    in ``mults`` what square-and-multiply spends on e = x mod p: one
+    squaring per bit after the leading one, one multiplication per set
+    bit and one for the product, that is e.bit_length() + e.bit_count(),
+    or 1 when e = 0.  A query thus costs O(log p) counted modular
     multiplications plus one comparison with the unit.
     """
 
@@ -457,21 +461,9 @@ class EmbeddedOracle(OracleBase):
         q = self.q
         acc = 1
         for g, x in zip(self.generators, coords):
-            # Square-and-multiply over the binary expansion of x mod p,
-            # counting each modular multiplication, then one more for
-            # the product.
-            exp = x % p
-            power = 1
-            while exp:
-                if exp & 1:
-                    power = power * g % q
-                    self.mults += 1
-                exp >>= 1
-                if exp:
-                    g = g * g % q
-                    self.mults += 1
-            acc = acc * power % q
-            self.mults += 1
+            e = operator.index(x) % p
+            acc = acc * pow(g, e, q) % q
+            self.mults += (e.bit_length() + e.bit_count()) or 1
         return 1 if acc == 1 else 0
 
     def reveal_hidden(self, escrow: Escrow) -> NormalVector:

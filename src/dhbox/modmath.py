@@ -10,9 +10,10 @@ wraps them in small value types.
 Every square root goes through one kernel, ``_sqrt_int``: one
 exponentiation, then the discrete log in the 2-Sylow subgroup of F_p^*
 read in 8-bit digits from a per-prime table (Bernstein, "Faster square
-roots in annoying finite fields", 2001).  The table is built on the
-first root modulo a prime and kept in a bounded cache, so importing the
-module or constructing a ``PrimeModulus`` builds nothing.
+roots in annoying finite fields", 2001).  The table depends on p alone:
+it is built on the first root modulo a prime and kept in a bounded cache
+keyed by p, so importing the module or constructing a ``PrimeModulus``
+builds nothing, and roots take no other input than the value and p.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact below 2**64)."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d = n - 1
@@ -58,13 +59,14 @@ class PrimeModulus:
     Construction fails on composites, on even numbers and on p >= 2**61
     (the bound keeps products inside one double-width machine word for
     ports to fixed-width integer languages; experiments never need more).
+    p passes through ``operator.index``: numpy integers are stored as
+    ints, and floats and strings raise TypeError.
     """
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int):
-            raise TypeError(f"modulus must be an int, got {type(p).__name__}")
+        p = operator.index(p)
         if p < 3 or p % 2 == 0:
             raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
         if p >= MAX_MODULUS:
@@ -219,35 +221,20 @@ def find_nonresidue(modulus: PrimeModulus, rng=None) -> Residue:
             return Residue(c, modulus)
 
 
-def _nonresidue_int(nonresidue: Optional[Residue], p: int) -> Optional[int]:
-    """Value of a caller-supplied non-residue modulo p, or None for none.
-
-    A residue modulo another prime or an actual square is a caller bug
-    and raises ValueError.
-    """
-    if nonresidue is None:
-        return None
-    if nonresidue.modulus.p != p:
-        raise ValueError(f"modulus mismatch: {nonresidue.modulus.p} vs {p}")
-    if _legendre_int(nonresidue.value, p) != -1:
-        raise ValueError(f"{nonresidue.value} is a square modulo {p}, not a non-residue")
-    return nonresidue.value
-
-
 # Digit width of the 2-Sylow discrete log: a table of 2**8 roots of unity.
 _WINDOW = 8
 
 
 @lru_cache(maxsize=32)
-def _sylow2(p: int, z: Optional[int]) -> tuple:
-    """What the square-root kernel needs of p and the non-residue z.
+def _sylow2(p: int) -> tuple:
+    """What the square-root kernel needs of the odd prime p.
 
-    With p - 1 = q * 2**s, c = z**q generates the 2-Sylow subgroup (order
-    2**s); z = None stands for the smallest non-residue.  Discrete logs e
-    to the base c are read in digits of w = min(8, s) bits, lowest first;
-    digit k covers bits [w*k, w*k + width) of e, and only the top digit
-    may be narrower than w.  Row m holds c**(-d * 2**m) for every digit
-    value d.  Returns, in order:
+    With p - 1 = q * 2**s and z the smallest non-residue, c = z**q
+    generates the 2-Sylow subgroup (order 2**s).  Discrete logs e to the
+    base c are read in digits of w = min(8, s) bits, lowest first; digit k
+    covers bits [w*k, w*k + width) of e, and only the top digit may be
+    narrower than w.  Row m holds c**(-d * 2**m) for every digit value d.
+    Returns, in order:
 
     - (q - 1) / 2;
     - the powers of two that lift t to the chain values t**(2**n) the
@@ -258,12 +245,12 @@ def _sylow2(p: int, z: Optional[int]) -> tuple:
     - (offset, row) for each digit of e / 2;
     - the digit mask 2**w - 1.
 
-    Built on the first root modulo p and cached; at p - 1 = 27 * 2**56 it
-    is the table and 7 rows, about 100 KiB.  A plain tuple: a NamedTuple
-    class would add to the module's import time.
+    Built on the first root modulo p and cached by p, so each prime has
+    one table whichever public function takes the root.  At
+    p - 1 = 27 * 2**56 it is the table and 7 rows, about 100 KiB.  A plain
+    tuple: a NamedTuple class would add to the module's import time.
     """
-    if z is None:
-        z = _smallest_nonresidue(p)
+    z = _smallest_nonresidue(p)
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
@@ -305,7 +292,7 @@ def _sylow2(p: int, z: Optional[int]) -> tuple:
     return q >> 1, lifts, log, steps, halves, (1 << w) - 1
 
 
-def _sqrt_int(a: int, p: int, nonresidue: Optional[int] = None) -> Optional[Tuple[int, int]]:
+def _sqrt_int(a: int, p: int) -> Optional[Tuple[int, int]]:
     """Both square roots of a modulo p as an ordered pair, or None.
 
     Returns (0, 0) for a = 0 and None when a is a non-residue.  With
@@ -315,13 +302,13 @@ def _sqrt_int(a: int, p: int, nonresidue: Optional[int] = None) -> Optional[Tupl
     chain of t in digits, each one lookup in the table of roots of unity
     after the precomputed corrections for the digits below it; an odd
     lowest digit means t**(2**(s-1)) = -1, a non-residue.  The root is
-    r * c**(-e/2).  The pair does not depend on the non-residue z used
-    (the supplied one, else the smallest).
+    r * c**(-e/2), with c built from the smallest non-residue z; the pair
+    is the same whichever non-residue would be used.
     """
     a %= p
     if a == 0:
         return (0, 0)
-    half_q, lifts, log, steps, halves, mask = _sylow2(p, nonresidue)
+    half_q, lifts, log, steps, halves, mask = _sylow2(p)
     b = pow(a, half_q, p)
     r = a * b % p
     x = r * b % p
@@ -346,14 +333,12 @@ def _sqrt_int(a: int, p: int, nonresidue: Optional[int] = None) -> Optional[Tupl
     return (r, p - r) if r <= p - r else (p - r, r)
 
 
-def sqrt_mod(a: Residue, nonresidue: Optional[Residue] = None) -> Optional[Tuple[Residue, Residue]]:
+def sqrt_mod(a: Residue) -> Optional[Tuple[Residue, Residue]]:
     """Square roots {r, p-r} of a residue, ordered r <= p-r, or None.
 
-    A supplied ``nonresidue`` makes the computation deterministic; passing
-    an actual square there is rejected as a caller bug.
+    Deterministic: the pair depends on the residue alone.
     """
-    p = a.modulus.p
-    pair = _sqrt_int(a.value, p, _nonresidue_int(nonresidue, p))
+    pair = _sqrt_int(a.value, a.modulus.p)
     if pair is None:
         return None
     return (Residue(pair[0], a.modulus), Residue(pair[1], a.modulus))
@@ -396,12 +381,8 @@ class QuadraticPoly:
     def modulus(self) -> PrimeModulus:
         return self.a2.modulus
 
-    def is_constant(self) -> bool:
-        return self.a2.value == 0 and self.a1.value == 0
-
     def evaluate(self, x: Union[Residue, int]) -> Residue:
         xv = x.value if isinstance(x, Residue) else x
-        p = self.modulus.p
         return Residue((self.a2.value * xv + self.a1.value) * xv + self.a0.value, self.modulus)
 
     def __repr__(self) -> str:
@@ -411,7 +392,7 @@ class QuadraticPoly:
         )
 
 
-def _roots_int(a2: int, a1: int, a0: int, p: int, nonresidue: Optional[int] = None):
+def _roots_int(a2: int, a1: int, a0: int, p: int):
     """Sorted tuple of roots of a2 x^2 + a1 x + a0 in F_p, or ALL_RESIDUES.
 
     Handles the degenerate degrees exactly: a2 = 0 gives the linear case,
@@ -425,7 +406,7 @@ def _roots_int(a2: int, a1: int, a0: int, p: int, nonresidue: Optional[int] = No
             return ALL_RESIDUES if a0 == 0 else ()
         return ((-a0 * _inv_int(a1, p)) % p,)
     disc = (a1 * a1 - 4 * a2 * a0) % p
-    pair = _sqrt_int(disc, p, nonresidue)
+    pair = _sqrt_int(disc, p)
     if pair is None:
         return ()
     inv2a = _inv_int(2 * a2, p)
@@ -436,17 +417,17 @@ def _roots_int(a2: int, a1: int, a0: int, p: int, nonresidue: Optional[int] = No
     return (r1, r2) if r1 < r2 else (r2, r1)
 
 
-def solve_quadratic(q: QuadraticPoly, nonresidue: Optional[Residue] = None):
+def solve_quadratic(q: QuadraticPoly):
     """Exact root set of q in F_p.
 
     Returns a sorted tuple of Residues (possibly empty), or the
     ALL_RESIDUES marker when q is the zero polynomial.  The marker is a
     distinct outcome on purpose: the constant-polynomial branch of the
-    DDH decision needs "every residue is a root" as its own case.
+    DDH decision needs "every residue is a root" as its own case.  Like
+    ``sqrt_mod``, it depends on the coefficients alone.
     """
     modulus = q.modulus
-    nr = _nonresidue_int(nonresidue, modulus.p)
-    roots = _roots_int(q.a2.value, q.a1.value, q.a0.value, modulus.p, nr)
+    roots = _roots_int(q.a2.value, q.a1.value, q.a0.value, modulus.p)
     if roots is ALL_RESIDUES:
         return ALL_RESIDUES
     return tuple(Residue(r, modulus) for r in roots)

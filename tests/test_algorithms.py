@@ -35,7 +35,7 @@ from dhbox.blackbox import (
     coset_label,
     equal_in_group,
 )
-from dhbox.modmath import PrimeModulus, find_nonresidue
+from dhbox.modmath import PrimeModulus, QuadraticPoly, _sylow2, solve_quadratic, sqrt_mod
 
 ESCROW = Escrow()
 
@@ -239,19 +239,25 @@ def test_secret_from_cdh_all_secrets_exact_counts():
         assert o.queries <= 2
 
 
-def test_secret_from_cdh_with_nonresidue_deterministic():
-    pm = PrimeModulus(13)
-    nr = find_nonresidue(pm)
-    for s in range(13):
-        o = IdentityOracle.level1(pm, s)
-        c = honest_cdh_oracle(o, ESCROW)
-        assert secret_from_cdh(c, o, nonresidue=nr).value == s
-    with pytest.raises(ValueError):
-        o = IdentityOracle.level1(pm, 5)
-        secret_from_cdh(honest_cdh_oracle(o, ESCROW), o, nonresidue=pm.residue(4))
-    with pytest.raises(ValueError):  # a non-residue modulo another prime
-        o = IdentityOracle.level1(pm, 5)
-        secret_from_cdh(honest_cdh_oracle(o, ESCROW), o, nonresidue=PrimeModulus(11).residue(2))
+def test_each_prime_gets_one_root_table():
+    # Every public path to a square root shares the kernel's table for p.
+    pm = PrimeModulus(97)  # p - 1 = 3 * 2**5
+    o = IdentityOracle.level1(pm, 20)
+    inst = DHInstance(elem(pm, 1, 0), elem(pm, 3, 1), elem(pm, 5, 1), elem(pm, 7, 2))
+    calls = [
+        lambda: sqrt_mod(pm.residue(3)),
+        lambda: solve_quadratic(QuadraticPoly.from_ints(pm, 1, 0, -3)),
+        lambda: secret_from_cdh(honest_cdh_oracle(o, ESCROW), o),
+        lambda: ddh_decide_level1(o, inst),
+    ]
+    _sylow2.cache_clear()
+    for call in calls:
+        before = _sylow2.cache_info()
+        call()
+        after = _sylow2.cache_info()
+        assert after.hits + after.misses > before.hits + before.misses
+        assert after.currsize == 1
+    assert _sylow2.cache_info().misses == 1
 
 
 def test_secret_from_cdh_random_representatives():
@@ -546,6 +552,65 @@ def test_embedded_generators_are_exact_ints():
     assert ddh_decide_by_search(oracle, inst) == 1
     with pytest.raises(TypeError):
         EmbeddedOracle(PrimeModulus(11), 23, (2.0, 8, 16, 2))
+
+
+def square_and_multiply(g, e, q):
+    """The counted exponentiation the oracle replaced with ``pow``, kept as
+    its reference: g**e mod q and the modular multiplications spent."""
+    power, mults = 1, 0
+    while e:
+        if e & 1:
+            power = power * g % q
+            mults += 1
+        e >>= 1
+        if e:
+            g = g * g % q
+            mults += 1
+    return power, mults
+
+
+class LoopEmbeddedOracle(EmbeddedOracle):
+    """The embedded oracle with its former square-and-multiply loop."""
+
+    __slots__ = ()
+
+    def _answer(self, coords):
+        p = self.modulus.p
+        acc = 1
+        for g, x in zip(self.generators, coords):
+            power, mults = square_and_multiply(g, x % p, self.q)
+            acc = acc * power % self.q
+            self.mults += mults + 1
+        return 1 if acc == 1 else 0
+
+
+def test_embedded_mults_match_the_loop_for_every_small_exponent():
+    # p = 4127 divides q - 1 = 6 * 4127, so every exponent below 4096 occurs.
+    pm, q = PrimeModulus(4127), 24763
+    g1 = pow(2, (q - 1) // 4127, q)
+    gens = (g1, pow(g1, 5, q), pow(g1, 7, q), pow(g1, 35, q))
+    fast, loop = EmbeddedOracle(pm, q, gens), LoopEmbeddedOracle(pm, q, gens)
+    for e in range(4096):
+        power, mults = square_and_multiply(g1, e, q)
+        assert power == pow(g1, e, q)
+        assert ((e.bit_length() + e.bit_count()) or 1) == mults + 1
+        before = (fast.mults, loop.mults)
+        coords = (e, e, 0, -e)
+        assert fast.query_coords(coords) == loop.query_coords(coords)
+        assert fast.mults - before[0] == loop.mults - before[1]
+    assert fast.mults == loop.mults and fast.queries == loop.queries == 4096
+
+
+def test_embedded_search_counts_match_the_loop():
+    pm, q = PrimeModulus(101), 607  # 606 = 6 * 101
+    g1 = pow(2, 6, q)
+    for a, b, c, answer in ((17, 42, 17 * 42 % 101, 1), (17, 42, 3, 0), (0, 88, 0, 1)):
+        gens = (g1, pow(g1, a, q), pow(g1, b, q), pow(g1, c, q))
+        oracle, inst = embed_generic_group(pm, q, gens)
+        reference = LoopEmbeddedOracle(pm, q, gens)
+        assert ddh_decide_by_search(oracle, inst) == ddh_decide_by_search(reference, inst) == answer
+        assert oracle.queries == reference.queries > 0
+        assert oracle.mults == reference.mults > 0
 
 
 def test_embedded_oracle_hidden_vector():

@@ -51,6 +51,17 @@ def test_prime_modulus_validation():
         PrimeModulus(2305843009213693953)  # 2^61 + 1, also composite
 
 
+def test_prime_modulus_takes_int_like_values():
+    # Fixed-width integers are stored as ints; floats and strings are refused.
+    pm = PrimeModulus(np.int64(101))
+    assert pm.p == 101 and type(pm.p) is int
+    assert pm == PrimeModulus(101) and hash(pm) == hash(PrimeModulus(101))
+    assert type(PrimeModulus(np.int64(M61)).p) is int
+    for bad in (101.0, 7.5, "101"):
+        with pytest.raises(TypeError):
+            PrimeModulus(bad)
+
+
 def test_arithmetic_examples():
     pm = PrimeModulus(7)
     assert (pm.residue(3) * pm.residue(5)).value == 1
@@ -149,29 +160,6 @@ def test_sqrt_examples():
     assert sqrt_mod(pm.residue(5)) is None
     z = sqrt_mod(pm.residue(0))
     assert (z[0].value, z[1].value) == (0, 0)
-
-
-def test_sqrt_rejects_square_as_nonresidue():
-    pm = PrimeModulus(7)
-    with pytest.raises(ValueError, match="4 is a square modulo 7, not a non-residue"):
-        sqrt_mod(pm.residue(2), nonresidue=pm.residue(4))
-    # 2 is a non-residue modulo 11 and modulo 13, but only as a residue of 13
-    # may it serve for a polynomial modulo 13
-    with pytest.raises(ValueError, match="modulus mismatch: 11 vs 13"):
-        solve_quadratic(
-            QuadraticPoly.from_ints(PrimeModulus(13), 1, 0, -3),
-            nonresidue=PrimeModulus(11).residue(2),
-        )
-
-
-def test_sqrt_deterministic_with_nonresidue():
-    for p in (13, 17, 41, 73):  # p = 1 mod 4 exercises the full algorithm
-        pm = PrimeModulus(p)
-        nr = find_nonresidue(pm)
-        for a in range(p):
-            got = sqrt_mod(pm.residue(a), nonresidue=nr)
-            plain = sqrt_mod(pm.residue(a))
-            assert got == plain
 
 
 def test_sqrt_exhaustive_small_primes():
@@ -322,7 +310,7 @@ def test_sqrt_kernel_short_and_full_top_digits(p):
     # s = 12, 11, 13 leave a top digit of 4, 3 and 5 bits above the 8-bit
     # ones; s = 16 is two full digits.  Every residue, against the loop.
     s = two_adicity(p)
-    _, _, _, steps, _, _ = _sylow2(p, None)
+    _, _, _, steps, _, _ = _sylow2(p)
     assert len(steps) == 1 and steps[0][1] == (8 - s % 8) % 8
     for a in range(p):
         assert _sqrt_int(a, p) == tonelli_shanks(a, p), a
@@ -332,7 +320,7 @@ def test_sqrt_kernel_short_and_full_top_digits(p):
 def test_sqrt_kernel_one_digit_up_to_the_window(p):
     # s = 2..8: one digit of s bits, no corrections.
     s = two_adicity(p)
-    _, _, log, steps, _, _ = _sylow2(p, None)
+    _, _, log, steps, _, _ = _sylow2(p)
     assert len(log) == 1 << s and steps == ()
     for a in range(p):
         assert _sqrt_int(a, p) == tonelli_shanks(a, p)
@@ -362,31 +350,14 @@ def test_sqrt_kernel_digit_layout_at_large_primes():
         M61: [],
     }
     for p, layout in layouts.items():
-        _, _, _, steps, _, _ = _sylow2(p, None)
+        _, _, _, steps, _, _ = _sylow2(p)
         assert [(offset, shift) for offset, shift, _ in steps] == layout
-
-
-def test_sqrt_kernel_any_nonresidue_gives_the_same_pair():
-    for p in (13, 17, 41, 97, 257, 12289):
-        nonresidues = [z for z in range(2, p) if _legendre_int(z, p) == -1]
-        smallest = nonresidues[0]
-        for z in nonresidues[1:][:5] + nonresidues[-2:]:
-            assert z != smallest
-            for a in range(p):
-                assert _sqrt_int(a, p, z) == _sqrt_int(a, p)
-            pm = PrimeModulus(p)
-            assert sqrt_mod(pm.residue(p - 1), nonresidue=pm.residue(z)) == sqrt_mod(pm.residue(p - 1))
-    for p in HIGH_2ADIC:
-        z = next(z for z in range(p - 1, 1, -1) if _legendre_int(z, p) == -1)
-        for x in (1, 2, 3, 12345, p - 7):
-            assert _sqrt_int(x * x, p, z) == _sqrt_int(x * x, p) == tonelli_shanks(x * x, p)
 
 
 def test_find_nonresidue_is_the_kernels_smallest():
     for p in (7, 41, 12289, PTS):
         z = find_nonresidue(PrimeModulus(p)).value
         assert z == next(c for c in range(2, p) if _legendre_int(c, p) == -1)
-        assert _sylow2(p, None) == _sylow2(p, z)
 
 
 def test_sqrt_kernel_cache_is_bounded():
