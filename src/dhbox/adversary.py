@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -221,8 +221,8 @@ class AdversaryReport:
             },
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _first_vector(p: int, positive: bool, h: Tuple[int, int, int], answer: int) -> Tuple[int, int, int]:

@@ -18,13 +18,14 @@ from .blackbox import (
     GroupElement,
     NormalVector,
     OracleBase,
+    OracleView,
     _check_escrow,
     canonical_element,
     coset_label,
     first_on_line,
     scan_line,
 )
-from .modmath import PrimeModulus, Residue, _inv_int, _roots_int, is_prime
+from .modmath import PrimeModulus, Residue, _inv_int, _require_same_modulus, _roots_int, is_prime
 
 _MAX_RESAMPLES = 1000
 
@@ -172,12 +173,6 @@ def dh_polynomial(inst: DHInstance):
     return a2, a1, a0
 
 
-def _check_same_modulus(oracle, other) -> None:
-    """Refuse, before any query or call, an oracle modulo another prime."""
-    if oracle.modulus.p != other.modulus.p:
-        raise ValueError(f"modulus mismatch: {oracle.modulus.p} vs {other.modulus.p}")
-
-
 def ddh_decide_level1(oracle, inst: DHInstance, check_generator: bool = True) -> int:
     """Decide whether a level-1 quadruple is a DH-quadruple.
 
@@ -195,7 +190,7 @@ def ddh_decide_level1(oracle, inst: DHInstance, check_generator: bool = True) ->
     if inst.l is None:
         raise ValueError("DDH needs a full quadruple, l is missing")
     inst.check()
-    _check_same_modulus(oracle, inst)
+    _require_same_modulus(oracle, inst)
     if check_generator and oracle.query(inst.g) == 1:
         raise NotAGeneratorError("DDH instance with non-generator g")
     a2, a1, a0 = dh_polynomial(inst)
@@ -254,7 +249,7 @@ def secret_from_cdh(cdh: CdhOracle, oracle) -> Residue:
     exactly and at most two identity queries pick out which root is the
     secret.
     """
-    _check_same_modulus(oracle, cdh)
+    _require_same_modulus(oracle, cdh)
     modulus = cdh.modulus
     p = modulus.p
     g = GroupElement((1, 0), modulus)
@@ -382,40 +377,14 @@ def project_cdh_answer(l_star: GroupElement) -> GroupElement:
     return GroupElement(l_star.coords[:-1], l_star.modulus)
 
 
-class LiftedOracle(OracleBase):
-    """Identity oracle one level up, simulated by the base oracle.
+def lift_oracle(oracle) -> OracleView:
+    """The identity oracle one level up, simulated by ``oracle``.
 
     The lifted hidden vector is the base vector with a zero appended, so
-    dropping the last query coordinate and asking the base oracle gives
-    exactly the lifted answer.  Each query costs one base query, which
-    keeps the only counter; a query of the wrong length is one
-    coordinate short of the base length too, and the base refuses it.
+    the view drops the last query coordinate and asks ``oracle``, which
+    keeps the only counter.
     """
-
-    __slots__ = ("_base",)
-
-    def __init__(self, base):
-        self._base = base
-        self.modulus = base.modulus
-        self.level = base.level + 1
-
-    @property
-    def queries(self) -> int:
-        return self._base.queries
-
-    def query_coords(self, coords) -> int:
-        return self._base.query_coords(coords[:-1])
-
-    def scan_line(self, base, step, candidates) -> Optional[int]:
-        return scan_line(self._base, base[:-1], step[:-1], candidates)
-
-    def reveal_hidden(self, escrow: Escrow) -> NormalVector:
-        base = self._base.reveal_hidden(escrow)
-        return NormalVector(base.coords + (0,), base.modulus)
-
-
-def lift_oracle(oracle) -> LiftedOracle:
-    return LiftedOracle(oracle)
+    return OracleView(oracle, range(oracle.level + 1), oracle.level + 1)
 
 
 class EmbeddedOracle(OracleBase):
@@ -466,8 +435,8 @@ class EmbeddedOracle(OracleBase):
             self.mults += (e.bit_length() + e.bit_count()) or 1
         return 1 if acc == 1 else 0
 
-    def reveal_hidden(self, escrow: Escrow) -> NormalVector:
-        """Exponents of the subgroup elements, by direct scan (test only)."""
+    def reveal_normal(self, escrow: Escrow) -> Tuple[int, ...]:
+        """(1, a_2, a_3, a_4): the exponents, by direct scan (test only)."""
         _check_escrow(escrow)
         g1 = self.generators[0]
         p = self.modulus.p
@@ -476,8 +445,7 @@ class EmbeddedOracle(OracleBase):
         for e in range(p):
             table[acc] = e
             acc = acc * g1 % self.q
-        exps = tuple(table[g] for g in self.generators[1:])
-        return NormalVector((1,) + exps, self.modulus)
+        return (1,) + tuple(table[g] for g in self.generators[1:])
 
 
 def embed_generic_group(modulus: PrimeModulus, q: int, generators: Tuple[int, int, int, int]):
@@ -506,6 +474,6 @@ def ddh_decide_by_search(oracle, inst: DHInstance) -> int:
     if inst.l is None:
         raise ValueError("DDH needs a full quadruple, l is missing")
     inst.check()
-    _check_same_modulus(oracle, inst)
+    _require_same_modulus(oracle, inst)
     n = brute_force_hidden_vector(oracle)
     return 1 if _label_quotient(n, inst.g, inst.h, inst.k) == coset_label(n, inst.l).value else 0

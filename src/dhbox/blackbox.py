@@ -14,16 +14,18 @@ points: ``query_coords`` charges one query, and ``scan_line`` charges one
 query per candidate x of a line base + x*step, in order, up to the first
 accepted one.  A raw oracle answers a whole scan in one loop over plain
 ints; every other oracle scans through ``query_coords``, so both entry
-points ask and charge the same queries.  Views (:class:`PermutedOracle`,
-the lifted oracle) keep no counter: they map coordinates, or a scan's
-base and step, and charge through the oracle they wrap.
+points ask and charge the same queries.  The one view,
+:class:`OracleView`, keeps no counter: it maps coordinates, or a scan's
+base and step, and charges through the oracle it wraps.
+:func:`normalize_oracle` and ``algorithms.lift_oracle`` build it.
 :class:`GroverOracle` asks a level-1 identity oracle, so point-search
 queries use the same counter too.
 
 Everything that would let algorithm code peek at the hidden normal vector
 is gated behind an explicit :class:`Escrow` capability.  Reference maps
 such as :func:`coset_label` take an explicit normal vector, which honest
-algorithm code can only obtain through ``reveal_hidden(escrow)``; keeping
+algorithm code can only obtain through ``reveal_hidden(escrow)``, which
+scales the normal the oracle answers by to a leading 1; keeping
 Escrow construction out of algorithm code is what makes every reported
 query count meaningful.
 """
@@ -34,7 +36,7 @@ import operator
 from itertools import islice
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .modmath import PrimeModulus, Residue
+from .modmath import PrimeModulus, Residue, _require_same_modulus
 
 
 class EscrowError(PermissionError):
@@ -101,10 +103,7 @@ class GroupElement:
 
     def _check_compatible(self, other) -> None:
         # Also takes a NormalVector, which has the same two fields.
-        if self.modulus.p != other.modulus.p:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus.p} vs {other.modulus.p}"
-            )
+        _require_same_modulus(self, other)
         if len(self.coords) != len(other.coords):
             raise ValueError(
                 f"dimension mismatch: {len(self.coords)} vs {len(other.coords)}"
@@ -213,9 +212,9 @@ class OracleBase:
     order and stops at the first accepted one; by default it loops
     through ``query_coords``, and a leaf may answer the whole scan
     itself as long as it asks, charges and refuses exactly the same
-    queries.  Views (permuted, lifted) leave the counter unset; they map
-    coordinates, or a scan's base and step, and pass the query or scan
-    to the oracle they wrap, which checks and charges it.  A view uses
+    queries.  A view (:class:`OracleView`) leaves the counter unset; it
+    maps coordinates, or a scan's base and step, and passes the query or
+    scan to the oracle it wraps, which checks and charges it.  A view uses
     only the public surface of what it wraps, so a wrapped oracle may
     itself be a view or a proxy.
     """
@@ -233,16 +232,11 @@ class OracleBase:
         return self._queries
 
     def query(self, h: GroupElement) -> int:
-        if h.modulus.p != self.modulus.p:
-            raise ValueError(f"modulus mismatch: {h.modulus.p} vs {self.modulus.p}")
+        _require_same_modulus(h, self)
         return self.query_coords(h.coords)
 
     def query_coords(self, coords: Sequence[int]) -> int:
-        if len(coords) != self.level + 1:
-            raise ValueError(
-                f"dimension mismatch: oracle level {self.level}, "
-                f"query has {len(coords)} coordinates"
-            )
+        _check_width(self, len(coords))
         if self._budget is not None and self._queries >= self._budget:
             raise self._over_budget()
         self._queries += 1
@@ -263,6 +257,19 @@ class OracleBase:
         candidate is accepted.
         """
         return _scan_by_queries(self, base, step, candidates)
+
+    def reveal_hidden(self, escrow: Escrow) -> NormalVector:
+        """Test-escrow accessor: ``reveal_normal`` scaled to a leading 1.
+
+        Never counted.  Each leaf and view supplies ``reveal_normal``, the
+        normal it answers by; the view of :func:`normalize_oracle` makes
+        its leading coordinate nonzero.
+        """
+        normal = self.reveal_normal(escrow)
+        if normal[0] == 0:
+            raise ValueError("hidden normal has leading coordinate 0; normalize the oracle first")
+        scale = pow(normal[0], -1, self.modulus.p)
+        return NormalVector([c * scale for c in normal], self.modulus)
 
 
 class RawOracle(OracleBase):
@@ -355,63 +362,58 @@ class IdentityOracle(RawOracle):
     by the algorithms being measured.
     """
 
-    __slots__ = ("_hidden",)
+    __slots__ = ()
 
     def __init__(self, hidden: NormalVector, budget: Optional[int] = None):
         super().__init__(hidden.coords, hidden.modulus, budget)
-        self._hidden = hidden
 
     @classmethod
     def level1(cls, modulus: PrimeModulus, secret: int, budget: Optional[int] = None) -> "IdentityOracle":
         return cls(NormalVector.level1(modulus, secret), budget)
 
-    def reveal_hidden(self, escrow: Escrow) -> NormalVector:
-        """Test-escrow accessor for the hidden vector.  Never counted."""
-        _check_escrow(escrow)
-        return self._hidden
 
+class OracleView(OracleBase):
+    """An oracle read through a map of coordinates.
 
-class PermutedOracle(OracleBase):
-    """View of a raw oracle through a coordinate permutation.
-
-    Queries are permuted and delegated, so each query here costs exactly
-    one query on the wrapped oracle, which keeps the only counter.  The
-    effective hidden vector is the permuted, rescaled raw normal, which is
-    normalized by construction.
+    A query c of the view is the query (c[pick[0]], ..., c[pick[m]]) of
+    ``inner``, so it costs exactly one query there, and a scan maps its
+    base and step the same way.  The view checks the width of what it is
+    given against its own level, keeps no counter and charges through
+    ``inner``, which may itself be a view or a proxy.  Its hidden normal
+    puts coordinate k of the inner normal at position pick[k] and zeros
+    everywhere else.
     """
 
-    __slots__ = ("_raw", "perm")
+    __slots__ = ("_inner", "pick")
 
-    def __init__(self, raw: RawOracle, perm: Tuple[int, ...]):
-        self._raw = raw
-        self.perm = perm
-        self.modulus = raw.modulus
-        self.level = raw.level
+    def __init__(self, inner, pick: Sequence[int], level: int):
+        pick = tuple(pick)
+        if len(pick) != inner.level + 1 or len(set(pick) & set(range(level + 1))) != len(pick):
+            raise ValueError(f"pick {pick} does not map level {level} onto level {inner.level}")
+        self._inner = inner
+        self.pick = pick
+        self.modulus = inner.modulus
+        self.level = level
 
     @property
     def queries(self) -> int:
-        return self._raw.queries
+        return self._inner.queries
+
+    def _map(self, coords: Sequence[int]) -> Tuple[int, ...]:
+        _check_width(self, len(coords))
+        return tuple(map(coords.__getitem__, self.pick))
 
     def query_coords(self, coords: Sequence[int]) -> int:
-        return self._raw.query_coords(self._permute(coords))
+        return self._inner.query_coords(self._map(coords))
 
     def scan_line(self, base: Sequence[int], step: Sequence[int], candidates: Iterable[int]) -> Optional[int]:
-        return scan_line(self._raw, self._permute(base), self._permute(step), candidates)
+        return scan_line(self._inner, self._map(base), self._map(step), candidates)
 
-    def _permute(self, coords: Sequence[int]) -> Sequence[int]:
-        perm = self.perm
-        # A vector of the wrong length goes through unpermuted, and the
-        # wrapped oracle, which has the same level, refuses it.
-        if len(coords) == len(perm):
-            return tuple(map(coords.__getitem__, perm))
-        return coords
-
-    def reveal_hidden(self, escrow: Escrow) -> NormalVector:
-        _check_escrow(escrow)
-        raw = self._raw.reveal_normal(escrow)
-        permuted = tuple(raw[i] for i in self.perm)
-        scale = pow(permuted[0], -1, self.modulus.p)
-        return NormalVector(tuple(c * scale for c in permuted), self.modulus)
+    def reveal_normal(self, escrow: Escrow) -> Tuple[int, ...]:
+        normal = [0] * (self.level + 1)
+        for k, c in zip(self.pick, self._inner.reveal_normal(escrow)):
+            normal[k] = c
+        return tuple(normal)
 
 
 class GroverOracle:
@@ -444,13 +446,15 @@ def equal_in_group(oracle, a: GroupElement, b: GroupElement) -> int:
     return oracle.query(a - b)
 
 
+def _check_width(oracle, n: int) -> None:
+    """Refuse a query, base or step of n coordinates at the wrong level."""
+    if n != oracle.level + 1:
+        raise ValueError(f"dimension mismatch: oracle level {oracle.level}, got {n} coordinates")
+
+
 def _check_line(oracle, base: Sequence[int], step: Sequence[int]) -> None:
-    width = oracle.level + 1
-    if len(base) != width or len(step) != width:
-        raise ValueError(
-            f"dimension mismatch: oracle level {oracle.level}, line has "
-            f"{len(base)} and {len(step)} coordinates"
-        )
+    _check_width(oracle, len(base))
+    _check_width(oracle, len(step))
 
 
 def _scan_by_queries(oracle, base: Sequence[int], step: Sequence[int], candidates: Iterable[int]) -> Optional[int]:
@@ -508,8 +512,7 @@ def identity_from_grover(grover: GroverOracle, h: GroupElement) -> int:
     """
     if h.level != 1:
         raise ValueError(f"level-1 element required, got level {h.level}")
-    if h.modulus.p != grover.modulus.p:
-        raise ValueError(f"modulus mismatch: {h.modulus.p} vs {grover.modulus.p}")
+    _require_same_modulus(h, grover)
     h0, h1 = h.coords
     p = grover.modulus.p
     if h1 == 0:
@@ -559,9 +562,10 @@ def normalize_oracle(raw, verify: bool = False):
     exactly when coordinate i of the normal is zero.  If all t queries
     answer 1, the last coordinate is nonzero by elimination, so the worst
     case stays at t queries.  Returns the transposition that moves the
-    nonzero coordinate to the front together with the permuted oracle
-    view, whose hidden vector is normalized; the rescaling costs nothing
-    because scaling a normal vector does not change its hyperplane.
+    nonzero coordinate to the front together with the :class:`OracleView`
+    through it, whose hidden vector, rescaled, is normalized; the
+    rescaling costs nothing because scaling a normal vector does not
+    change its hyperplane.
 
     With ``verify=True`` one extra query on e_t is spent to detect a
     malformed (all-zero) oracle instead of trusting elimination.
@@ -584,7 +588,7 @@ def normalize_oracle(raw, verify: bool = False):
     perm = list(range(width))
     perm[0], perm[first_nonzero] = perm[first_nonzero], perm[0]
     perm = tuple(perm)
-    return perm, PermutedOracle(raw, perm)
+    return perm, OracleView(raw, perm, t)
 
 
 def random_element(modulus: PrimeModulus, level: int, rng) -> GroupElement:

@@ -88,12 +88,10 @@ class PrimeModulus:
         return f"PrimeModulus({self.p})"
 
 
-def _require_same_modulus(a: "Residue", b: "Residue") -> int:
+def _require_same_modulus(a, b) -> None:
+    """Refuse two operands, anything with a ``modulus``, modulo different primes."""
     if a.modulus.p != b.modulus.p:
-        raise ValueError(
-            f"modulus mismatch: {a.modulus.p} vs {b.modulus.p}"
-        )
-    return a.modulus.p
+        raise ValueError(f"modulus mismatch: {a.modulus.p} vs {b.modulus.p}")
 
 
 class Residue:

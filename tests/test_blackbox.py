@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -14,7 +15,7 @@ from dhbox.blackbox import (
     IdentityOracle,
     MalformedOracleError,
     NormalVector,
-    PermutedOracle,
+    OracleView,
     QueryBudgetExceeded,
     RawOracle,
     canonical_element,
@@ -107,6 +108,13 @@ def _lifted_view_case():
     return lift_oracle(base), base, 2
 
 
+def _nested_view_case():
+    # A view of a view: the lift of normalize_oracle's view.
+    raw = RawOracle((0, 1, 4), PrimeModulus(7), budget=4)
+    _, view = normalize_oracle(raw)  # two unit-vector queries on raw
+    return lift_oracle(view), raw, 4
+
+
 def _embedded_case():
     # 2 has order 11 modulo 23; exponents (1, 3, 4, 1)
     o, _ = embed_generic_group(PrimeModulus(11), 23, (2, 8, 16, 2))
@@ -116,8 +124,8 @@ def _embedded_case():
 
 @pytest.mark.parametrize(
     "make",
-    [_identity_case, _raw_case, _normalized_view_case, _lifted_view_case, _embedded_case],
-    ids=["IdentityOracle", "RawOracle", "normalize_oracle", "lift_oracle", "EmbeddedOracle"],
+    [_identity_case, _raw_case, _normalized_view_case, _lifted_view_case, _nested_view_case, _embedded_case],
+    ids=["IdentityOracle", "RawOracle", "normalize_oracle", "lift_oracle", "lift_of_normalized", "EmbeddedOracle"],
 )
 def test_query_counter_and_budget(make):
     # The one oracle contract: every query is counted once, by the leaf
@@ -213,8 +221,12 @@ def _line_scans(draw):
     wide = st.integers(-3 * p, 3 * p)  # negative and unreduced coordinates
     base = tuple(draw(st.lists(wide, min_size=line_width, max_size=line_width)))
     step = tuple(draw(st.lists(wide, min_size=line_width, max_size=line_width)))
-    # The normal the line meets: the view's effective normal.
-    effective = {"leaf": normal, "permuted": [normal[i] for i in perm], "lifted": normal + [0]}[view]
+    # The normal the line meets: the view's effective normal.  The
+    # permuted view puts coordinate k of the raw normal at position perm[k].
+    permuted = [0] * width
+    for k, i in enumerate(perm):
+        permuted[i] = normal[k]
+    effective = {"leaf": normal, "permuted": permuted, "lifted": normal + [0]}[view]
     if draw(st.booleans()):  # step parallel to the hyperplane: c1 = 0
         step = _orthogonal(step, effective, p)
         if draw(st.booleans()):  # base on the hyperplane: every candidate accepted
@@ -248,7 +260,7 @@ def test_line_scan_matches_query_loop(case):
         for _ in range(spent):
             raw.query_coords((0,) * len(normal))
         inner = _Recorder(raw) if proxied else raw
-        oracle = {"leaf": inner, "permuted": PermutedOracle(inner, perm), "lifted": lift_oracle(inner)}[view]
+        oracle = {"leaf": inner, "permuted": OracleView(inner, perm, inner.level), "lifted": lift_oracle(inner)}[view]
         candidates = map(int, values) if kind == "permutation" else values
         outcome = _scan_outcome(scan, oracle, base, step, candidates)
         outcomes.append((outcome, inner.seen if proxied else None))
@@ -326,7 +338,7 @@ def test_query_coordinates_are_exact_ints():
     leaf = IdentityOracle.level1(pm, s)
     views = {
         "leaf": (leaf, ()),
-        "permuted": (PermutedOracle(RawOracle((s, 1), pm), (1, 0)), ()),
+        "permuted": (OracleView(RawOracle((s, 1), pm), (1, 0), 1), ()),
         "lifted": (lift_oracle(IdentityOracle.level1(pm, s)), (p - 3,)),
     }
     for name, (oracle, extra) in views.items():
@@ -365,6 +377,27 @@ def test_query_dimension_mismatch():
         o.query_coords((1, 2, 3))
     with pytest.raises(ValueError):
         o.query(GroupElement((1, 1), PrimeModulus(5)))
+
+
+def test_view_refuses_wrong_width_at_its_own_level():
+    # A view checks what it is given against its own level, not the level
+    # of the oracle it wraps, and charges nothing for a refusal.
+    pm = PrimeModulus(7)
+    lifted = lift_oracle(IdentityOracle.level1(pm, 3))
+    with pytest.raises(ValueError, match="dimension mismatch: oracle level 2, got 2 coordinates"):
+        lifted.query_coords((1, 2))
+    with pytest.raises(ValueError, match="oracle level 2, got 2 coordinates"):
+        lifted.scan_line((1, 2), (1, 0, 0), range(7))
+    assert lifted.queries == 0
+    cycled = OracleView(RawOracle((1, 2, 3), pm), (1, 2, 0), 2)
+    with pytest.raises(ValueError, match="oracle level 2, got 2 coordinates"):
+        cycled.query_coords((1, 2))
+    with pytest.raises(ValueError, match="oracle level 2, got 4 coordinates"):
+        cycled.scan_line((1, 2, 3), (1, 0, 0, 0), range(7))
+    assert cycled.queries == 0
+    for pick in ((0, 0, 1), (0, 1), (0, 1, 3)):
+        with pytest.raises(ValueError, match="does not map"):
+            OracleView(RawOracle((1, 2, 3), pm), pick, 2)
 
 
 def test_equal_in_group():
@@ -450,6 +483,51 @@ def test_oracle_consistent_with_label():
             for coords in itertools.product(range(p), repeat=t + 1):
                 h = GroupElement(coords, pm)
                 assert o.query(h) == (1 if coset_label(n, h).value == 0 else 0)
+
+
+def _permuted_view(perm, lifted):
+    width = len(perm)
+    view = OracleView(RawOracle(range(1, width + 1), PrimeModulus(5)), perm, width - 1)
+    return lift_oracle(view) if lifted else view
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # Every permutation view of widths 3 and 4, and the lift of each.
+        *(
+            pytest.param(
+                functools.partial(_permuted_view, perm, lifted),
+                id=f"{'lift-' * lifted}perm{''.join(map(str, perm))}",
+            )
+            for width in (3, 4)
+            for perm in itertools.permutations(range(width))
+            for lifted in (False, True)
+        ),
+        pytest.param(lambda: IdentityOracle(NormalVector((1, 4, 2), PrimeModulus(5))), id="IdentityOracle"),
+        pytest.param(lambda: lift_oracle(IdentityOracle.level1(PrimeModulus(7), 3)), id="lift-IdentityOracle"),
+        # 2 has order 11 modulo 23; exponents (1, 3, 4, 1)
+        pytest.param(lambda: embed_generic_group(PrimeModulus(11), 23, (2, 8, 16, 2))[0], id="EmbeddedOracle"),
+    ],
+)
+def test_revealed_normal_agrees_with_answers(make):
+    # The revealed normal is the one the oracle answers by, on every vector.
+    oracle = make()
+    n = oracle.reveal_hidden(ESCROW)
+    p = oracle.modulus.p
+    for coords in itertools.product(range(p), repeat=oracle.level + 1):
+        on = sum(c * nc for c, nc in zip(coords, n.coords)) % p == 0
+        assert oracle.query_coords(coords) == on, coords
+
+
+def test_reveal_scales_the_raw_normal():
+    pm = PrimeModulus(7)
+    assert RawOracle((2, 6, 3), pm).reveal_hidden(ESCROW).coords == (1, 3, 5)
+    assert RawOracle((2, 6, 3), pm).reveal_normal(ESCROW) == (2, 6, 3)
+    with pytest.raises(ValueError, match="leading coordinate 0"):
+        RawOracle((0, 1, 4), pm).reveal_hidden(ESCROW)
+    with pytest.raises(EscrowError):
+        lift_oracle(OracleView(RawOracle((0, 1, 4), pm), (1, 0, 2), 2)).reveal_hidden(None)
 
 
 def test_escrow_gate():
