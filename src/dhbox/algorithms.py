@@ -306,7 +306,8 @@ def brute_force_secret(oracle, rng=None) -> Residue:
     p queries.
     """
     p = oracle.modulus.p
-    s = first_on_line(oracle, range(p) if rng is None else map(int, rng.permutation(p)))
+    # A memoryview of the permutation yields ints without a p-element list.
+    s = first_on_line(oracle, range(p) if rng is None else memoryview(rng.permutation(p)))
     if s is None:
         raise DishonestOracleError("no candidate passed the identity test")
     return Residue(s, oracle.modulus)
@@ -387,6 +388,13 @@ def lift_oracle(oracle) -> OracleView:
     return OracleView(oracle, range(oracle.level + 1), oracle.level + 1)
 
 
+def _pow_mults(e: int) -> int:
+    """The modular multiplications square-and-multiply spends on g**e, plus
+    one for the product: one squaring per bit after the leading one and
+    one multiplication per set bit, or 1 when e = 0."""
+    return (e.bit_length() + e.bit_count()) or 1
+
+
 class EmbeddedOracle(OracleBase):
     """Identity oracle over Z_p^4 built from a prime-order subgroup mod q.
 
@@ -396,11 +404,15 @@ class EmbeddedOracle(OracleBase):
     g_1 raised to the scalar product of the query with (1, a_2, a_3, a_4),
     so this is an identity black-box group whose hidden vector encodes
     the exponents.  Each coordinate x is mapped with ``pow`` and charged
-    in ``mults`` what square-and-multiply spends on e = x mod p: one
-    squaring per bit after the leading one, one multiplication per set
-    bit and one for the product, that is e.bit_length() + e.bit_count(),
-    or 1 when e = 0.  A query thus costs O(log p) counted modular
+    in ``mults`` what square-and-multiply spends on e = x mod p
+    (:func:`_pow_mults`), so a query costs O(log p) counted modular
     multiplications plus one comparison with the unit.
+
+    A line scan is answered in one loop.  Every g_i has order p, so the
+    product for the query base + x*step is H * R^(x mod p), with
+    H = prod g_i^(b_i mod p) and R = prod g_i^(s_i mod p): one power per
+    candidate.  ``mults`` is charged per candidate what the query would
+    charge, the coordinates that do not move with x summed once per scan.
     """
 
     __slots__ = ("q", "generators", "mults")
@@ -432,8 +444,35 @@ class EmbeddedOracle(OracleBase):
         for g, x in zip(self.generators, coords):
             e = operator.index(x) % p
             acc = acc * pow(g, e, q) % q
-            self.mults += (e.bit_length() + e.bit_count()) or 1
+            self.mults += _pow_mults(e)
         return 1 if acc == 1 else 0
+
+    def _line_loop(self, base, step, numbered) -> Optional[int]:
+        p = self.modulus.p
+        q = self.q
+        head = ratio = 1
+        fixed = 0
+        moving = []
+        for g, b, s in zip(self.generators, map(operator.index, base), map(operator.index, step)):
+            b %= p
+            s %= p
+            head = head * pow(g, b, q) % q
+            if s:
+                ratio = ratio * pow(g, s, q) % q
+                moving.append((b, s))
+            else:
+                fixed += _pow_mults(b)
+        # H * R^e = 1 exactly when R^e is the inverse of H.
+        target = pow(head, -1, q)
+        for x, _ in numbered:
+            e = operator.index(x) % p
+            mults = fixed
+            for b, s in moving:
+                mults += _pow_mults((b + e * s) % p)
+            self.mults += mults
+            if pow(ratio, e, q) == target:
+                return x
+        return None
 
     def reveal_normal(self, escrow: Escrow) -> Tuple[int, ...]:
         """(1, a_2, a_3, a_4): the exponents, by direct scan (test only)."""

@@ -9,17 +9,21 @@ evaluation.
 Every identity oracle derives from :class:`OracleBase`, which holds the
 dimension check, the only counter and the budget, and leaves each leaf
 oracle (:class:`RawOracle`, :class:`IdentityOracle`, the embedded oracle
-of ``algorithms``) only its answer rule.  The counter has two entry
-points: ``query_coords`` charges one query, and ``scan_line`` charges one
-query per candidate x of a line base + x*step, in order, up to the first
-accepted one.  A raw oracle answers a whole scan in one loop over plain
-ints; every other oracle scans through ``query_coords``, so both entry
-points ask and charge the same queries.  The one view,
-:class:`OracleView`, keeps no counter: it maps coordinates, or a scan's
-base and step, and charges through the oracle it wraps.
-:func:`normalize_oracle` and ``algorithms.lift_oracle`` build it.
-:class:`GroverOracle` asks a level-1 identity oracle, so point-search
-queries use the same counter too.
+of ``algorithms``) only its answer rule and its line loop.  The counter
+has two entry points: ``query_coords`` charges one query, and
+``scan_line`` charges one query per candidate x of a line base + x*step,
+in order, up to the first accepted one.  ``OracleBase.scan_line`` is the
+one scaffold of every scan: the width checks, the budget cut, the charge
+and the refusal.  Inside it a leaf's ``_line_loop`` answers the whole
+scan: a raw oracle accepts x exactly when x = t (mod p) for one residue
+t of the line, and the embedded oracle compares one power per candidate.
+An oracle without a loop, or a subclass that changes the answer rule,
+scans through ``query_coords``, so both entry points ask and charge the
+same queries.  The one view, :class:`OracleView`, keeps no counter: it
+maps coordinates, or a scan's base and step, and charges through the
+oracle it wraps.  :func:`normalize_oracle` and ``algorithms.lift_oracle``
+build it.  :class:`GroverOracle` asks a level-1 identity oracle, so
+point-search queries use the same counter too.
 
 Everything that would let algorithm code peek at the hidden normal vector
 is gated behind an explicit :class:`Escrow` capability.  Reference maps
@@ -33,7 +37,8 @@ query count meaningful.
 from __future__ import annotations
 
 import operator
-from itertools import islice
+from collections import deque
+from itertools import count, islice
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .modmath import PrimeModulus, Residue, _require_same_modulus
@@ -209,17 +214,31 @@ class OracleBase:
     refuses a query of the wrong length or beyond the budget, counts the
     rest, and returns the leaf's answer rule ``_answer(coords)``.
     ``scan_line`` asks the queries base + x*step for each candidate x in
-    order and stops at the first accepted one; by default it loops
-    through ``query_coords``, and a leaf may answer the whole scan
-    itself as long as it asks, charges and refuses exactly the same
-    queries.  A view (:class:`OracleView`) leaves the counter unset; it
-    maps coordinates, or a scan's base and step, and passes the query or
-    scan to the oracle it wraps, which checks and charges it.  A view uses
-    only the public surface of what it wraps, so a wrapped oracle may
-    itself be a view or a proxy.
+    order and stops at the first accepted one.  It holds everything about
+    a scan but the answers: a leaf supplies only ``_line_loop``, which
+    answers a whole scan in one loop, and an oracle without one scans
+    through ``query_coords``.  A view (:class:`OracleView`) leaves the
+    counter unset; it maps coordinates, or a scan's base and step, and
+    passes the query or scan to the oracle it wraps, which checks and
+    charges it.  A view uses only the public surface of what it wraps, so
+    a wrapped oracle may itself be a view or a proxy.
     """
 
     __slots__ = ("modulus", "level", "_queries", "_budget")
+
+    # The leaf's loop over a whole scan, ``_line_loop(base, step, numbered)``:
+    # it draws (x, _) pairs from ``numbered`` in order and returns the first
+    # accepted x, or None once ``numbered`` is exhausted.  None here, and in
+    # a subclass that overrides ``_answer`` or ``query_coords`` below the
+    # class that wrote the loop (a lying test oracle, a recorder): those
+    # scan query by query, so a scan believes the answers the queries get.
+    _line_loop = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        owner = next(k for k in cls.__mro__ if "_line_loop" in vars(k))
+        if cls._answer is not owner._answer or cls.query_coords is not owner.query_coords:
+            cls._line_loop = None
 
     def __init__(self, modulus: PrimeModulus, level: int, budget: Optional[int] = None):
         self.modulus = modulus
@@ -254,9 +273,33 @@ class OracleBase:
 
         Each candidate tried costs one query, in the given order, and the
         scan stops at the first accepted one.  Returns None when no
-        candidate is accepted.
+        candidate is accepted.  An empty tuple of candidates asks nothing.
+
+        With a ``_line_loop`` the candidates drawn are charged together
+        when the scan ends, also when a candidate raises, and a scan that
+        outruns the budget is refused at the same candidate, with the same
+        count and message, as the query-by-query loop.
         """
-        return _scan_by_queries(self, base, step, candidates)
+        loop = self._line_loop
+        if loop is None:
+            return _scan_by_queries(self, base, step, candidates)
+        _check_line(self, base, step)
+        if isinstance(candidates, tuple) and not candidates:
+            return None
+        rest = iter(candidates)
+        scan = rest if self._budget is None else islice(rest, max(self._budget - self._queries, 0))
+        # zip draws a candidate before a number, so the numbers drawn
+        # count the candidates drawn, whatever ends the loop.
+        drawn = count()
+        try:
+            hit = loop(base, step, zip(scan, drawn))
+        finally:
+            self._queries += next(drawn)
+        if hit is None:
+            # The budget cut the scan short if a candidate is left over.
+            for _ in rest:
+                raise self._over_budget()
+        return hit
 
     def reveal_hidden(self, escrow: Escrow) -> NormalVector:
         """Test-escrow accessor: ``reveal_normal`` scaled to a leading 1.
@@ -290,61 +333,39 @@ class RawOracle(OracleBase):
         super().__init__(modulus, len(normal) - 1, budget)
         self._normal = normal
 
-    # False in a subclass that overrides _answer or query_coords (a lying
-    # test oracle, a recorder): its scans must ask query by query.
-    _own_rule = True
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._own_rule = (
-            cls._answer is RawOracle._answer and cls.query_coords is OracleBase.query_coords
-        )
-
     def _answer(self, coords: Sequence[int]) -> int:
         acc = 0
         for c, nc in zip(map(operator.index, coords), self._normal):
             acc += c * nc
         return 1 if acc % self.modulus.p == 0 else 0
 
-    def scan_line(self, base: Sequence[int], step: Sequence[int], candidates: Iterable[int]) -> Optional[int]:
-        """The scan of :meth:`OracleBase.scan_line` in one loop over plain ints.
+    def _line_loop(self, base: Sequence[int], step: Sequence[int], numbered) -> Optional[int]:
+        """The line scan decided by one residue.
 
         The query base + x*step is accepted exactly when
         c0 + x*c1 = 0 (mod p), with c0 = n.base and c1 = n.step for the
-        hidden normal n.  The candidates tried are charged together, and
-        a scan that outruns the budget is refused at the same candidate,
-        with the same count, as the query-by-query loop.  An empty tuple of
-        candidates asks nothing and returns None at once.  A subclass that
-        changes the answer rule scans query by query instead.
-
-        Base and step pass through ``operator.index``; the candidates are
-        taken as they come, so callers hand in ints (a fixed-width integer
-        would wrap in x*c1).
+        hidden normal n.  When c1 != 0 that is x = t (mod p) for
+        t = -c0/c1, so each candidate costs one remainder and no product
+        of x is formed: a fixed-width integer candidate (numpy's int64)
+        is exact too.  When c1 = 0 every candidate is accepted or none is.
         """
-        if not self._own_rule:
-            return _scan_by_queries(self, base, step, candidates)
-        _check_line(self, base, step)
-        if isinstance(candidates, tuple) and not candidates:
-            return None
         p = self.modulus.p
+        index = operator.index
         c0 = c1 = 0
-        for b, s, nc in zip(map(operator.index, base), map(operator.index, step), self._normal):
-            c0 += b * nc
-            c1 += s * nc
-        c0 %= p
+        for b, s, nc in zip(base, step, self._normal):
+            c0 += index(b) * nc
+            c1 += index(s) * nc
         c1 %= p
-        rest = iter(candidates)
-        scan = rest if self._budget is None else islice(rest, max(self._budget - self._queries, 0))
-        tried = 0
-        try:
-            for tried, x in enumerate(scan, 1):
-                if (c0 + x * c1) % p == 0:
-                    return x
-        finally:
-            self._queries += tried
-        # The budget cut the scan short if a candidate is left over.
-        for _ in rest:
-            raise self._over_budget()
+        if c1 == 0:
+            if c0 % p == 0:
+                return next(numbered, (None,))[0]
+            deque(numbered, maxlen=0)
+            return None
+        # c1 = 1 in first_on_line on a normalized oracle: no inverse to take.
+        t = -c0 % p if c1 == 1 else -c0 * pow(c1, -1, p) % p
+        for x, _ in numbered:
+            if x % p == t:
+                return x
         return None
 
     def reveal_normal(self, escrow: Escrow) -> Tuple[int, ...]:
@@ -453,8 +474,10 @@ def _check_width(oracle, n: int) -> None:
 
 
 def _check_line(oracle, base: Sequence[int], step: Sequence[int]) -> None:
-    _check_width(oracle, len(base))
-    _check_width(oracle, len(step))
+    width = oracle.level + 1
+    if len(base) != width or len(step) != width:
+        _check_width(oracle, len(base))
+        _check_width(oracle, len(step))
 
 
 def _scan_by_queries(oracle, base: Sequence[int], step: Sequence[int], candidates: Iterable[int]) -> Optional[int]:

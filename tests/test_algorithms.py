@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhbox.algorithms import (
     CdhOracle,
@@ -31,11 +33,15 @@ from dhbox.blackbox import (
     Escrow,
     GroupElement,
     IdentityOracle,
+    OracleView,
+    QueryBudgetExceeded,
     canonical_element,
     coset_label,
     equal_in_group,
+    first_on_line,
+    scan_line,
 )
-from dhbox.modmath import PrimeModulus, QuadraticPoly, _sylow2, solve_quadratic, sqrt_mod
+from dhbox.modmath import PrimeModulus, QuadraticPoly, Residue, _sylow2, solve_quadratic, sqrt_mod
 
 ESCROW = Escrow()
 
@@ -620,3 +626,146 @@ def test_embedded_oracle_hidden_vector():
     before = oracle.mults
     oracle.query_coords((1, 0, 0, 0))
     assert oracle.mults > before  # exponentiation cost is accounted
+
+
+# ------------------------------------------------- embedded line-scan kernel
+
+
+def _subgroup_generator(p, q):
+    return next(g for g in (pow(w, (q - 1) // p, q) for w in range(2, q)) if g != 1)
+
+
+class _Proxy:
+    """Duck-typed pass-through oracle; scans through it ask query by query."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.modulus = inner.modulus
+        self.level = inner.level
+
+    @property
+    def queries(self):
+        return self.inner.queries
+
+    def query_coords(self, coords):
+        return self.inner.query_coords(coords)
+
+
+@st.composite
+def _embedded_scans(draw):
+    p, q = draw(st.sampled_from(((3, 7), (5, 11), (11, 23), (13, 53), (101, 607))))
+    g1 = _subgroup_generator(p, q)
+    gens = (g1,) + tuple(pow(g1, draw(st.integers(0, p - 1)), q) for _ in range(3))
+    setting = draw(st.sampled_from(("leaf", "permuted", "lifted", "proxied")))
+    perm = tuple(draw(st.permutations(range(4))))
+    width = 5 if setting == "lifted" else 4
+    wide = st.integers(-3 * p, 3 * p)  # negative and unreduced coordinates
+    base = tuple(draw(st.lists(wide, min_size=width, max_size=width)))
+    step = tuple(draw(st.lists(wide, min_size=width, max_size=width)))
+    if draw(st.booleans()):  # a step that is zero mod p: every answer is alike
+        step = tuple(p * (s % 5 - 2) for s in step)
+    kind = draw(st.sampled_from(("range", "permutation", "tuple", "empty")))
+    if kind == "range":
+        start = draw(st.integers(-p, p))
+        values = range(start, start + draw(st.integers(0, 2 * p)))
+    elif kind == "permutation":
+        values = np.random.default_rng(draw(st.integers(0, 2**32))).permutation(p)
+    elif kind == "tuple":
+        values = tuple(draw(st.lists(wide, max_size=2 * p)))
+    else:
+        values = ()
+    budget = draw(st.none() | st.integers(0, len(values) + 2))
+    spent = 0 if budget is None else draw(st.integers(0, budget))
+    return p, q, gens, setting, perm, base, step, values, budget, spent
+
+
+@settings(max_examples=300, deadline=None)
+@given(_embedded_scans())
+def test_embedded_scan_kernel_matches_the_loop(case):
+    # The one-loop scan of the embedded oracle, directly, under a view and
+    # behind a proxy, against the query-by-query scan of the loop oracle:
+    # same hit, queries, mults, refusal and leftover candidates.
+    p, q, gens, setting, perm, base, step, values, budget, spent = case
+    outcomes = []
+    for cls in (LoopEmbeddedOracle, EmbeddedOracle):
+        leaf = cls(PrimeModulus(p), q, gens)
+        leaf._budget = budget  # the embedding takes no budget argument; set the core's
+        for _ in range(spent):
+            leaf.query_coords((1, 0, 0, 0))
+        oracle = {
+            "leaf": leaf,
+            "permuted": OracleView(leaf, perm, 3),
+            "lifted": lift_oracle(leaf),
+            "proxied": _Proxy(leaf),
+        }[setting]
+        rest = iter(values)
+        try:
+            result = ("returned", scan_line(oracle, base, step, rest))
+        except QueryBudgetExceeded as e:
+            result = ("refused", str(e))
+        outcomes.append((result, leaf.queries, leaf.mults, list(rest)))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_embedded_subclass_that_changes_the_rule_scans_query_by_query():
+    pm, q = PrimeModulus(11), 23
+    gens = (2, 8, 16, 2)  # exponents (1, 3, 4, 1)
+
+    class _Liar(EmbeddedOracle):
+        __slots__ = ()
+
+        def _answer(self, coords):
+            return 1
+
+    liar = _Liar(pm, q, gens)
+    assert brute_force_hidden_vector(liar).coords == (1, 0, 0, 0)
+    assert liar.queries == 3
+    loop = LoopEmbeddedOracle(pm, q, gens)
+    assert brute_force_hidden_vector(loop).coords == (1, 3, 4, 1)
+
+    class _Logged(EmbeddedOracle):
+        __slots__ = ("log",)
+
+        def query_coords(self, coords):
+            self.log.append(tuple(coords))
+            return super().query_coords(coords)
+
+    logged = _Logged(pm, q, gens)
+    logged.log = []
+    # Coordinate 1 is found at x = 3: the queries x*e_0 - e_1 for x = 0..3.
+    assert scan_line(logged, (0, 10, 0, 0), (1, 0, 0, 0), range(11)) == 3
+    assert logged.log == [(x, 10, 0, 0) for x in range(4)]
+    assert logged.queries == 4
+    for cls in (_Liar, _Logged, LoopEmbeddedOracle):
+        assert cls._line_loop is None
+    assert EmbeddedOracle._line_loop is not None
+
+
+class _FixedOrder:
+    """An rng stand-in whose permutation is a given ndarray."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def permutation(self, n):
+        assert n == len(self.order)
+        return self.order
+
+
+@pytest.mark.parametrize("p", [101, 1009, 10007])
+def test_brute_force_random_order_matches_the_int_map(p):
+    # The permutation is scanned through a memoryview; the secret found and
+    # the queries spent equal those of the former map(int, ...) candidates.
+    pm = PrimeModulus(p)
+    for seed in range(4):
+        secret = int(np.random.default_rng([p, seed]).integers(p))
+        order = np.random.default_rng([seed, p]).permutation(p)
+        for rng, again in (
+            (np.random.default_rng(seed), np.random.default_rng(seed)),
+            (_FixedOrder(order), _FixedOrder(order)),
+        ):
+            fast, ref = IdentityOracle.level1(pm, secret), IdentityOracle.level1(pm, secret)
+            got = brute_force_secret(fast, rng)
+            expected = first_on_line(ref, map(int, again.permutation(p)))
+            assert got == Residue(expected, pm)
+            assert fast.queries == ref.queries

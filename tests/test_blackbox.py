@@ -1,5 +1,6 @@
 import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -261,8 +262,7 @@ def test_line_scan_matches_query_loop(case):
             raw.query_coords((0,) * len(normal))
         inner = _Recorder(raw) if proxied else raw
         oracle = {"leaf": inner, "permuted": OracleView(inner, perm, inner.level), "lifted": lift_oracle(inner)}[view]
-        candidates = map(int, values) if kind == "permutation" else values
-        outcome = _scan_outcome(scan, oracle, base, step, candidates)
+        outcome = _scan_outcome(scan, oracle, base, step, values)  # a permutation as numpy ints
         outcomes.append((outcome, inner.seen if proxied else None))
     assert outcomes[0] == outcomes[1]
 
@@ -356,6 +356,31 @@ def test_query_coordinates_are_exact_ints():
             oracle.query_coords((1.5, 2.0) + extra)
         with pytest.raises(TypeError):
             oracle.scan_line((0.0, -1.0) + extra, (1, 0) + (0,) * len(extra), [s])
+
+
+def test_int64_candidates_are_exact_at_the_largest_modulus():
+    # At p = 2^61 - 1 the raw normal (p - 5, 7) gives c1 = p - 5, so an
+    # int64 candidate times c1 would wrap; the residue test forms no such
+    # product, and a scan matches the loop over ints without a warning.
+    p = 2**61 - 1
+    pm = PrimeModulus(p)
+    secret = -7 * pow(5, -1, p) % p  # (x, -1) lies on the line (p-5)x + 7y = 0
+    values = [secret - 2, secret - 1, secret, secret + 1]
+    lines = {
+        "leaf": (lambda raw: raw, (p - 5, 7), (0, p - 1), (1, 0)),
+        "permuted": (lambda raw: OracleView(raw, (1, 0), 1), (7, p - 5), (0, p - 1), (1, 0)),
+        "lifted": (lift_oracle, (p - 5, 7), (0, p - 1, 3), (1, 0, 0)),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, (view, normal, base, step) in lines.items():
+            fast, ref = RawOracle(normal, pm), RawOracle(normal, pm)
+            hit = scan_line(view(fast), base, step, np.array(values, dtype=np.int64))
+            expected = _reference_scan(view(ref), base, step, values)
+            assert (hit, fast.queries) == (expected, ref.queries) == (secret, 3), name
+        raw = RawOracle((p - 5, 7), pm)
+        assert first_on_line(raw, np.array(values, dtype=np.int64)) == secret
+        assert raw.queries == 3
 
 
 class _Proxy:
