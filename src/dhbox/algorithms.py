@@ -306,7 +306,9 @@ def brute_force_secret(oracle, rng=None) -> Residue:
     p queries.
     """
     p = oracle.modulus.p
-    # A memoryview of the permutation yields ints without a p-element list.
+    # The raw leaf answers a range in closed form and scans the buffer of
+    # the permutation in numpy; a memoryview of it still yields ints to an
+    # oracle that is scanned query by query.
     s = first_on_line(oracle, range(p) if rng is None else memoryview(rng.permutation(p)))
     if s is None:
         raise DishonestOracleError("no candidate passed the identity test")

@@ -9,17 +9,19 @@ evaluation.
 Every identity oracle derives from :class:`OracleBase`, which holds the
 dimension check, the only counter and the budget, and leaves each leaf
 oracle (:class:`RawOracle`, :class:`IdentityOracle`, the embedded oracle
-of ``algorithms``) only its answer rule and its line loop.  The counter
+of ``algorithms``) only its answer rule and its line scan.  The counter
 has two entry points: ``query_coords`` charges one query, and
 ``scan_line`` charges one query per candidate x of a line base + x*step,
 in order, up to the first accepted one.  ``OracleBase.scan_line`` is the
 one scaffold of every scan: the width checks, the budget cut, the charge
-and the refusal.  Inside it a leaf's ``_line_loop`` answers the whole
-scan: a raw oracle accepts x exactly when x = t (mod p) for one residue
-t of the line, and the embedded oracle compares one power per candidate.
-An oracle without a loop, or a subclass that changes the answer rule,
-scans through ``query_coords``, so both entry points ask and charge the
-same queries.  The one view, :class:`OracleView`, keeps no counter: it
+and the refusal.  Inside it a leaf answers the whole scan: a raw oracle
+accepts x exactly when x = t (mod p) for one residue t of the line, so
+it finds the first accepted candidate of a range in closed form and of
+an integer buffer (a numpy array, a memoryview) in numpy, and loops over
+any other candidates; the embedded oracle compares one power per
+candidate.  An oracle without a loop, or a subclass that changes the
+answer rule, scans through ``query_coords``, so both entry points ask
+and charge the same queries.  The one view, :class:`OracleView`, keeps no counter: it
 maps coordinates, or a scan's base and step, and charges through the
 oracle it wraps.  :func:`normalize_oracle` and ``algorithms.lift_oracle``
 build it.  :class:`GroverOracle` asks a level-1 identity oracle, so
@@ -37,9 +39,10 @@ query count meaningful.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from itertools import count, islice
 from typing import Iterable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .modmath import PrimeModulus, Residue, _require_same_modulus
 
@@ -216,8 +219,9 @@ class OracleBase:
     ``scan_line`` asks the queries base + x*step for each candidate x in
     order and stops at the first accepted one.  It holds everything about
     a scan but the answers: a leaf supplies only ``_line_loop``, which
-    answers a whole scan in one loop, and an oracle without one scans
-    through ``query_coords``.  A view (:class:`OracleView`) leaves the
+    answers a whole scan in one loop, and may add ``_line_index``, which
+    names the first accepted index of a range or integer buffer; an
+    oracle without a loop scans through ``query_coords``.  A view (:class:`OracleView`) leaves the
     counter unset; it maps coordinates, or a scan's base and step, and
     passes the query or scan to the oracle it wraps, which checks and
     charges it.  A view uses only the public surface of what it wraps, so
@@ -233,12 +237,17 @@ class OracleBase:
     # class that wrote the loop (a lying test oracle, a recorder): those
     # scan query by query, so a scan believes the answers the queries get.
     _line_loop = None
+    # The leaf's answer to a scan of a range or integer buffer,
+    # ``_line_index(base, step, seq)``: the least i >= 0 at which seq,
+    # continued past its end, would hold an accepted candidate, or None
+    # when no i would.  None here, and wherever ``_line_loop`` is None.
+    _line_index = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         owner = next(k for k in cls.__mro__ if "_line_loop" in vars(k))
         if cls._answer is not owner._answer or cls.query_coords is not owner.query_coords:
-            cls._line_loop = None
+            cls._line_loop = cls._line_index = None
 
     def __init__(self, modulus: PrimeModulus, level: int, budget: Optional[int] = None):
         self.modulus = modulus
@@ -278,14 +287,21 @@ class OracleBase:
         With a ``_line_loop`` the candidates drawn are charged together
         when the scan ends, also when a candidate raises, and a scan that
         outruns the budget is refused at the same candidate, with the same
-        count and message, as the query-by-query loop.
+        count and message, as the query-by-query loop.  A range, or a
+        one-dimensional buffer of integers, is not drawn at all when the
+        leaf also has a ``_line_index``: it is cut to the budget's room,
+        the leaf names the index i of the first accepted candidate, and
+        i + 1 queries are charged (the whole room when none is accepted).
         """
         loop = self._line_loop
         if loop is None:
             return _scan_by_queries(self, base, step, candidates)
         _check_line(self, base, step)
-        if isinstance(candidates, tuple) and not candidates:
-            return None
+        if isinstance(candidates, tuple):
+            if not candidates:
+                return None
+        elif self._line_index is not None and _indexable(candidates):
+            return self._scan_indexed(base, step, candidates)
         rest = iter(candidates)
         scan = rest if self._budget is None else islice(rest, max(self._budget - self._queries, 0))
         # zip draws a candidate before a number, so the numbers drawn
@@ -300,6 +316,20 @@ class OracleBase:
             for _ in rest:
                 raise self._over_budget()
         return hit
+
+    def _scan_indexed(self, base: Sequence[int], step: Sequence[int], candidates) -> Optional[int]:
+        """``scan_line`` of a range or integer buffer, by the leaf's index."""
+        n = _length(candidates)
+        room = n if self._budget is None else min(n, max(self._budget - self._queries, 0))
+        scan = candidates[:room]
+        i = self._line_index(base, step, scan)
+        if i is not None and i < room:
+            self._queries += i + 1
+            return scan[i]
+        self._queries += room
+        if room < n:
+            raise self._over_budget()
+        return None
 
     def reveal_hidden(self, escrow: Escrow) -> NormalVector:
         """Test-escrow accessor: ``reveal_normal`` scaled to a leading 1.
@@ -322,6 +352,12 @@ class RawOracle(OracleBase):
     hidden normal is zero.  The starting point of
     :func:`normalize_oracle`: the hidden normal may have any nonzero
     coordinate pattern.
+
+    A line scan is decided by one residue t (``_residue``): a candidate
+    is accepted exactly when it is t mod p.  A range is answered in
+    closed form and an integer buffer by a numpy remainder, so neither
+    loops over its candidates in Python; other candidates are tested one
+    remainder each, and a float among them is refused as a query is.
     """
 
     __slots__ = ("_normal",)
@@ -339,15 +375,14 @@ class RawOracle(OracleBase):
             acc += c * nc
         return 1 if acc % self.modulus.p == 0 else 0
 
-    def _line_loop(self, base: Sequence[int], step: Sequence[int], numbered) -> Optional[int]:
-        """The line scan decided by one residue.
+    def _residue(self, base: Sequence[int], step: Sequence[int]) -> Optional[int]:
+        """The residue t that decides the scan of the line base + x*step.
 
         The query base + x*step is accepted exactly when
         c0 + x*c1 = 0 (mod p), with c0 = n.base and c1 = n.step for the
         hidden normal n.  When c1 != 0 that is x = t (mod p) for
-        t = -c0/c1, so each candidate costs one remainder and no product
-        of x is formed: a fixed-width integer candidate (numpy's int64)
-        is exact too.  When c1 = 0 every candidate is accepted or none is.
+        t = -c0/c1.  When c1 = 0 no residue decides: every candidate is
+        accepted (``_EVERY``) or none is (None).
         """
         p = self.modulus.p
         index = operator.index
@@ -357,16 +392,44 @@ class RawOracle(OracleBase):
             c1 += index(s) * nc
         c1 %= p
         if c1 == 0:
-            if c0 % p == 0:
-                return next(numbered, (None,))[0]
-            deque(numbered, maxlen=0)
-            return None
+            return _EVERY if c0 % p == 0 else None
         # c1 = 1 in first_on_line on a normalized oracle: no inverse to take.
-        t = -c0 % p if c1 == 1 else -c0 * pow(c1, -1, p) % p
+        return -c0 % p if c1 == 1 else -c0 * pow(c1, -1, p) % p
+
+    def _line_loop(self, base: Sequence[int], step: Sequence[int], numbered) -> Optional[int]:
+        """The line scan decided by one residue, one remainder per candidate.
+
+        Each candidate is taken through ``operator.index``, as a query
+        takes its coordinates: a float is refused, and no product of x is
+        formed, so a fixed-width integer (numpy's int64) is exact.
+        """
+        p = self.modulus.p
+        index = operator.index
+        t = self._residue(base, step)
         for x, _ in numbered:
-            if x % p == t:
+            # With no residue (c1 = 0) the first candidate or none is accepted.
+            if index(x) % p == t or t == _EVERY:
                 return x
         return None
+
+    def _line_index(self, base: Sequence[int], step: Sequence[int], seq) -> Optional[int]:
+        """The line scan of a range in closed form, of a buffer in numpy.
+
+        A range's candidates are start + i*step, so the first accepted i
+        is (t - start)/step mod p, or 0 or none when step = 0 (mod p).
+        """
+        t = self._residue(base, step)
+        if t is None:
+            return None
+        if t == _EVERY:
+            return 0
+        p = self.modulus.p
+        if isinstance(seq, range):
+            s = seq.step % p
+            if s == 0:
+                return 0 if (seq.start - t) % p == 0 else None
+            return (t - seq.start) * pow(s, -1, p) % p
+        return _first_residue(np.asarray(seq), p, t)
 
     def reveal_normal(self, escrow: Escrow) -> Tuple[int, ...]:
         _check_escrow(escrow)
@@ -478,6 +541,55 @@ def _check_line(oracle, base: Sequence[int], step: Sequence[int]) -> None:
     if len(base) != width or len(step) != width:
         _check_width(oracle, len(base))
         _check_width(oracle, len(step))
+
+
+# The residue of a scan in which every candidate is accepted; no residue
+# mod p is negative.
+_EVERY = -1
+
+# The native integer formats of a buffer that a scan reads in numpy.
+_INT_FORMATS = frozenset("bBhHiIlLqQ")
+
+# numpy scans a buffer in chunks from 256 elements up, 4 times longer each
+# time and at most 2^16 long: an early hit costs one short pass, a miss
+# one pass per chunk, and the temporaries stay under a megabyte.
+_FIRST_CHUNK = 256
+_LAST_CHUNK = 1 << 16
+
+
+def _indexable(candidates) -> bool:
+    """Whether a scan can index its candidates: a range or an integer buffer."""
+    if isinstance(candidates, range):
+        return True
+    if isinstance(candidates, memoryview):
+        return candidates.ndim == 1 and candidates.format in _INT_FORMATS
+    return isinstance(candidates, np.ndarray) and candidates.ndim == 1 and candidates.dtype.kind in "iu"
+
+
+def _length(seq) -> int:
+    """len(seq), also for a range longer than sys.maxsize, where len() overflows."""
+    if isinstance(seq, range) and seq:
+        return (seq[-1] - seq[0]) // seq.step + 1
+    return len(seq)
+
+
+def _first_residue(values: np.ndarray, p: int, t: int) -> Optional[int]:
+    """The first index i with values[i] = t (mod p), or None.
+
+    numpy refuses a remainder by a p that the values' own type cannot
+    hold, so formats narrower than 64 bits are widened to int64 first;
+    every modulus is below 2^61, so int64 and uint64 hold it.
+    """
+    work = np.int64 if values.dtype.itemsize < 8 else values.dtype
+    start, size = 0, _FIRST_CHUNK
+    while start < len(values):
+        chunk = values[start : start + size].astype(work, copy=False)
+        hits = np.flatnonzero(chunk % p == t)
+        if hits.size:
+            return start + int(hits[0])
+        start += size
+        size = min(4 * size, _LAST_CHUNK)
+    return None
 
 
 def _scan_by_queries(oracle, base: Sequence[int], step: Sequence[int], candidates: Iterable[int]) -> Optional[int]:

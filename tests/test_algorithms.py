@@ -343,6 +343,31 @@ def test_brute_force_hidden_vector():
         assert o.queries <= t * 7
 
 
+def test_brute_force_at_the_largest_modulus_in_closed_form():
+    # At p = 2^61 - 1 a sequential scan is answered without a loop over
+    # the candidates, and still charges each candidate up to the hit.
+    p = 2**61 - 1
+    pm = PrimeModulus(p)
+    s = p - 12345
+    o = IdentityOracle.level1(pm, s)
+    assert brute_force_secret(o).value == s
+    assert o.queries == s + 1
+    # The lift adds a coordinate whose normal entry is 0: found at x = 0.
+    o = IdentityOracle.level1(pm, s)
+    assert brute_force_hidden_vector(lift_oracle(o)).coords == (1, s, 0)
+    assert o.queries == s + 2
+    # A budget one short of the hit refuses at the hit, having spent it.
+    o = IdentityOracle.level1(pm, s, budget=s)
+    with pytest.raises(QueryBudgetExceeded):
+        brute_force_secret(o)
+    assert o.queries == s
+    # A range longer than sys.maxsize, whose len() overflows, is indexed too.
+    o = IdentityOracle.level1(pm, s)
+    i = (s + 2**70) % p
+    assert first_on_line(o, range(-(2**70), 2**70)) == i - 2**70
+    assert o.queries == i + 1
+
+
 # --------------------------------------------------- derived DLOG/CDH answers
 
 

@@ -1,6 +1,8 @@
+import array
 import functools
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from dhbox.blackbox import (
     random_identity_oracle,
     scan_line,
 )
+from dhbox.blackbox import _scan_by_queries
 from dhbox.modmath import PrimeModulus
 
 ESCROW = Escrow()
@@ -312,6 +315,12 @@ def test_scan_believes_a_subclass_answer_rule():
     assert first_on_line(logged, range(7)) == 3
     assert logged.log == [(0, 6), (1, 6), (2, 6), (3, 6)]
     assert logged.queries == 4
+    # Ranges and integer buffers are asked query by query too.
+    assert _Liar._line_index is _Logged._line_index is None
+    for candidates in (range(6, -1, -1), np.arange(7)[::-1], memoryview(array.array("b", range(6, -1, -1)))):
+        logged.log = []
+        assert first_on_line(logged, candidates) == 3
+        assert logged.log == [(6, 6), (5, 6), (4, 6), (3, 6)]
 
 
 def test_empty_scan_asks_nothing_after_the_checks():
@@ -381,6 +390,132 @@ def test_int64_candidates_are_exact_at_the_largest_modulus():
         raw = RawOracle((p - 5, 7), pm)
         assert first_on_line(raw, np.array(values, dtype=np.int64)) == secret
         assert raw.queries == 3
+
+
+# Integer formats of a buffer, with the values each can hold.
+_FORMATS = {f: (int(np.iinfo(f).min), int(np.iinfo(f).max)) for f in "bBhHiIlLqQ"}
+
+
+@st.composite
+def _indexed_scans(draw):
+    p = draw(st.sampled_from((3, 5, 7, 11, 101, 2**61 - 1)))
+    width = draw(st.integers(2, 4))
+    coord = st.integers(0, p - 1)
+    normal = draw(st.lists(coord, min_size=width, max_size=width).filter(any))
+    view = draw(st.sampled_from(("leaf", "permuted", "lifted")))
+    perm = tuple(draw(st.permutations(range(width))))
+    line_width = width + 1 if view == "lifted" else width
+    wide = st.integers(-3 * p, 3 * p)
+    base = draw(st.lists(wide, min_size=line_width, max_size=line_width))
+    step = draw(st.lists(wide, min_size=line_width, max_size=line_width))
+    permuted = [0] * width
+    for k, i in enumerate(perm):
+        permuted[i] = normal[k]
+    effective = {"leaf": normal, "permuted": permuted, "lifted": normal + [0]}[view]
+    small = min(p, 40)
+    if draw(st.booleans()):
+        start = draw(st.integers(-3 * p, 3 * p))
+        # Steps of residue 0 (p, -2p) give every candidate one residue.
+        stride = draw(st.sampled_from((1, -1, 2, -3, p, -2 * p, p + 1)) | st.integers(-3 * p, 3 * p).filter(bool))
+        values = range(start, start + stride * draw(st.integers(0, 3 * small)), stride)
+    else:
+        kind = draw(st.sampled_from(sorted(_FORMATS)))
+        lo, hi = _FORMATS[kind]
+        # Negative values, values >= p and, for 64-bit unsigned, >= 2^63;
+        # a seeded filler in front makes scans that outrun the first chunk.
+        items = draw(st.lists(st.integers(lo, hi) | st.integers(max(lo, -2 * small), min(hi, 2 * small)), max_size=3 * small))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        filler = rng.integers(lo, hi, size=draw(st.sampled_from((0, 0, 300, 1500))), endpoint=True, dtype=np.dtype(kind))
+        items = filler.tolist() + items
+        values = draw(st.sampled_from((np.array, lambda v, f: memoryview(array.array(f, v)))))(items, kind)
+    parallel = draw(st.booleans())
+    if parallel:  # c1 = 0: every candidate is accepted or none is
+        step = _orthogonal(step, effective, p)
+        if draw(st.booleans()):
+            base = _orthogonal(base, effective, p)
+    elif len(values) and draw(st.booleans()):
+        # Aim the line at one candidate, so that large p meets hits too.
+        x = int(values[draw(st.integers(0, len(values) - 1))])
+        on = _orthogonal(base, effective, p)
+        base = [b - x * s for b, s in zip(on, step)]
+    budget = draw(st.sampled_from(("none", "zero", "hit", "short", "any")))
+    spent = draw(st.integers(0, 2))
+    return p, normal, view, perm, tuple(base), tuple(step), values, budget, spent, draw(st.integers(0, len(values) + 2))
+
+
+def _build_view(p, normal, view, perm, budget, spent):
+    raw = RawOracle(normal, PrimeModulus(p), budget=budget)
+    for _ in range(spent):
+        raw.query_coords((0,) * len(normal))
+    return raw, {"leaf": raw, "permuted": OracleView(raw, perm, raw.level), "lifted": lift_oracle(raw)}[view]
+
+
+def _as_ints(values):
+    return values if isinstance(values, range) else [int(v) for v in values.tolist()]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_indexed_scans())
+def test_indexed_scan_matches_the_query_loop(case):
+    # A range or integer buffer is scanned by index, drawing no candidate,
+    # and gives the hit, count, refusal and message of the query loop over
+    # the same values as ints, directly and under a view.
+    p, normal, view, perm, base, step, values, budget, spent, any_room = case
+    _, unbudgeted = _build_view(p, normal, view, perm, None, 0)
+    _scan_by_queries(unbudgeted, base, step, _as_ints(values))
+    asked = unbudgeted.queries  # the hit's position + 1, or every candidate
+    room = {"none": None, "zero": 0, "hit": asked, "short": max(asked - 1, 0), "any": any_room}[budget]
+    outcomes = []
+    for scan, candidates in ((_scan_by_queries, _as_ints(values)), (scan_line, values)):
+        raw, oracle = _build_view(p, normal, view, perm, None if room is None else spent + room, spent)
+        try:
+            with mock.patch.object(RawOracle, "_line_loop", side_effect=AssertionError("drew candidates")):
+                result = ("returned", scan(oracle, base, step, candidates))
+        except QueryBudgetExceeded as e:
+            result = ("refused", str(e))
+        if result[0] == "returned" and result[1] is not None:
+            result = ("returned", int(result[1]))
+        outcomes.append((result, raw.queries))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_float_candidates_are_refused_alike():
+    # A float candidate makes a float query, which is charged and refused
+    # with TypeError: by the leaf, under a view and query by query alike.
+    # 7.0 lies on the line of the secret 0 mod 7, but is not taken.
+    pm = PrimeModulus(7)
+
+    class _Logged(IdentityOracle):
+        __slots__ = ()
+
+        def query_coords(self, coords):
+            return super().query_coords(coords)
+
+    makers = {
+        "leaf": lambda: IdentityOracle.level1(pm, 0),
+        "view": lambda: OracleView(RawOracle((0, 1), pm), (1, 0), 1),
+        "by queries": lambda: _Logged.level1(pm, 0),
+    }
+    orders = {
+        "tuple": (lambda: (1, 2, 7.0, 0), 3),
+        "iterator": (lambda: iter([1, 2, 7.0, 0]), 3),
+        "float buffer": (lambda: memoryview(array.array("d", [7.0, 0.0])), 1),
+        "float array": (lambda: np.array([1.0, 7.0]), 1),
+    }
+    for name, make in makers.items():
+        for order, (candidates, refused_at) in orders.items():
+            oracle = make()
+            with pytest.raises(TypeError):
+                first_on_line(oracle, candidates())
+            assert oracle.queries == refused_at, (name, order)
+    # With the step parallel to the line (c1 = 0) every candidate is
+    # accepted, or none is, and each one tried is still taken as an integer.
+    for name, make in makers.items():
+        for base, candidates, refused_at in (((0, 0), [2.5, 4], 1), ((1, 0), [4, 2.5], 2)):
+            oracle = make()
+            with pytest.raises(TypeError):
+                scan_line(oracle, base, (0, 1), candidates)
+            assert oracle.queries == refused_at, (name, base)
 
 
 class _Proxy:
