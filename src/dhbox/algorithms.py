@@ -11,7 +11,10 @@ levels and to ordinary prime-order groups.
 from __future__ import annotations
 
 import operator
+from math import isqrt
 from typing import Callable, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from .blackbox import (
     Escrow,
@@ -20,6 +23,8 @@ from .blackbox import (
     OracleBase,
     OracleView,
     _check_escrow,
+    _first_residue,
+    _length,
     canonical_element,
     coset_label,
     first_on_line,
@@ -397,6 +402,79 @@ def _pow_mults(e: int) -> int:
     return (e.bit_length() + e.bit_count()) or 1
 
 
+def _mults_below(n: int) -> int:
+    """The sum of :func:`_pow_mults` over 0 <= e < n, in O(log n).
+
+    e = 0 costs 1.  Bit lengths: e has more than j bits exactly when
+    e >= 2^j, which holds for n - 2^j of the e < n when 2^j < n, so they
+    sum to L*n - (2^L - 1) for L = (n - 1).bit_length().  Bit counts: for each set bit j of n, the 2^j numbers below n that
+    share n's bits above j and have 0 at j carry those ``ones`` bits and
+    j*2^(j-1) bits below j.
+    """
+    if n <= 0:
+        return 0
+    length = (n - 1).bit_length()
+    total = 2 + length * n - (1 << length)
+    ones = 0
+    for j in range(n.bit_length() - 1, -1, -1):
+        if n >> j & 1:
+            total += (ones << j) + (j << j >> 1)
+            ones += 1
+    return total
+
+
+def _mults_of_progression(u: int, d: int, k: int, p: int) -> int:
+    """The sum of :func:`_pow_mults` over the k exponents (u + i*d) mod p.
+
+    For d != 0 each p consecutive exponents take every residue once, so
+    full cycles cost ``_mults_below(p)``.  The rest is a window of
+    consecutive residues for d = 1, which wraps at most once, and is
+    summed one exponent at a time for any other d.
+    """
+    if d == 0:
+        return k * _pow_mults(u)
+    cycles, rest = divmod(k, p)
+    total = cycles * _mults_below(p) if cycles else 0
+    if d == 1:
+        end = u + rest
+        return total + _mults_below(min(end, p)) - _mults_below(u) + _mults_below(end - p)
+    return total + sum([_pow_mults((u + i * d) % p) for i in range(rest)])
+
+
+# The most baby steps one discrete log keeps, so that its table stays a
+# few megabytes; a longer search takes more giant steps instead.
+_MAX_BABY_STEPS = 1 << 16
+
+
+def _first_power(c: int, goal: int, n: int, q: int) -> Optional[int]:
+    """The least i with c^i = goal (mod q) if it is below n; else None or
+    some i >= n.
+
+    Shanks' baby-step giant-step: with m baby steps c^j (j < m), the
+    first giant step goal * c^(-k*m) that meets one gives i = k*m + j.
+    m = ceil(sqrt(n)) up to ``_MAX_BABY_STEPS``, so the search takes
+    O(sqrt(n)) multiplications up to n = 2^32.  c = 1, or n is at most
+    the order of c, so that the baby steps are distinct.
+    """
+    if n <= 0:
+        return None
+    if c == 1:
+        return 0 if goal == 1 else None
+    m = min(isqrt(n - 1) + 1, _MAX_BABY_STEPS)
+    baby = {}
+    power = 1
+    for j in range(m):
+        baby[power] = j
+        power = power * c % q
+    giant = pow(power, -1, q)
+    for k in range(0, n, m):
+        j = baby.get(goal)
+        if j is not None:
+            return k + j
+        goal = goal * giant % q
+    return None
+
+
 class EmbeddedOracle(OracleBase):
     """Identity oracle over Z_p^4 built from a prime-order subgroup mod q.
 
@@ -410,11 +488,16 @@ class EmbeddedOracle(OracleBase):
     (:func:`_pow_mults`), so a query costs O(log p) counted modular
     multiplications plus one comparison with the unit.
 
-    A line scan is answered in one loop.  Every g_i has order p, so the
+    A line scan is one discrete logarithm.  Every g_i has order p, so the
     product for the query base + x*step is H * R^(x mod p), with
-    H = prod g_i^(b_i mod p) and R = prod g_i^(s_i mod p): one power per
-    candidate.  ``mults`` is charged per candidate what the query would
-    charge, the coordinates that do not move with x summed once per scan.
+    H = prod g_i^(b_i mod p) and R = prod g_i^(s_i mod p) (``_line``).
+    Tuples and iterators take one power per candidate (``_line_loop``).
+    A range or integer buffer takes none (``_line_index``): the hit of a
+    range by baby-step giant-step, of a buffer by one discrete log and a
+    numpy remainder.  Either way ``mults`` is charged per candidate tried
+    what the query would charge, the coordinates that do not move with x
+    summed once per scan; for a range, whose moving exponents step by a
+    constant mod p, in closed form when that constant is 0 or 1.
     """
 
     __slots__ = ("q", "generators", "mults")
@@ -449,7 +532,14 @@ class EmbeddedOracle(OracleBase):
             self.mults += _pow_mults(e)
         return 1 if acc == 1 else 0
 
-    def _line_loop(self, base, step, numbered) -> Optional[int]:
+    def _line(self, base, step):
+        """The scan of base + x*step as (target, R, fixed, moving).
+
+        The query at x is accepted exactly when R^(x mod p) equals
+        target = H^-1.  ``fixed`` is the ``mults`` of the coordinates that
+        do not move with x; ``moving`` holds (b, s) for each one that
+        does, whose exponent at x is (b + x*s) mod p.
+        """
         p = self.modulus.p
         q = self.q
         head = ratio = 1
@@ -464,8 +554,12 @@ class EmbeddedOracle(OracleBase):
                 moving.append((b, s))
             else:
                 fixed += _pow_mults(b)
-        # H * R^e = 1 exactly when R^e is the inverse of H.
-        target = pow(head, -1, q)
+        return pow(head, -1, q), ratio, fixed, moving
+
+    def _line_loop(self, base, step, numbered) -> Optional[int]:
+        p = self.modulus.p
+        q = self.q
+        target, ratio, fixed, moving = self._line(base, step)
         for x, _ in numbered:
             e = operator.index(x) % p
             mults = fixed
@@ -475,6 +569,42 @@ class EmbeddedOracle(OracleBase):
             if pow(ratio, e, q) == target:
                 return x
         return None
+
+    def _line_index(self, base, step, seq) -> Optional[int]:
+        """The first accepted index of a range or buffer, and its ``mults``.
+
+        Candidate i of range(start, stop, stride) is accepted exactly when
+        (R^stride)^i = target * R^-start, so its hit is the least such
+        i < min(n, p), by :func:`_first_power`.  A buffer's hit is its
+        first value = t (mod p) for the discrete log t of target, or,
+        when the buffer is shorter than sqrt(p), the first value whose
+        power is target.  R = 1 accepts every candidate or none.
+        """
+        p = self.modulus.p
+        q = self.q
+        target, ratio, fixed, moving = self._line(base, step)
+        n = _length(seq)
+        if isinstance(seq, range):
+            goal = target * pow(ratio, -seq.start % p, q) % q
+            i = _first_power(pow(ratio, seq.step % p, q), goal, min(n, p), q)
+        elif ratio == 1:
+            i = 0 if target == 1 else None
+        elif n * n < p:  # fewer candidates than baby steps: a power each
+            powers = [pow(ratio, x % p, q) for x in np.asarray(seq).tolist()]
+            i = powers.index(target) if target in powers else None
+        else:
+            i = _first_residue(np.asarray(seq), p, _first_power(ratio, target, p, q))
+        tried = n if i is None else min(i + 1, n)
+        mults = tried * fixed
+        if isinstance(seq, range):
+            for b, s in moving:
+                mults += _mults_of_progression((b + seq.start * s) % p, seq.step * s % p, tried, p)
+        else:
+            for x in np.asarray(seq[:tried]).tolist():
+                for b, s in moving:
+                    mults += _pow_mults((b + x * s) % p)
+        self.mults += mults
+        return i
 
     def reveal_normal(self, escrow: Escrow) -> Tuple[int, ...]:
         """(1, a_2, a_3, a_4): the exponents, by direct scan (test only)."""

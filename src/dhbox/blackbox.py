@@ -18,13 +18,16 @@ and the refusal.  Inside it a leaf answers the whole scan: a raw oracle
 accepts x exactly when x = t (mod p) for one residue t of the line, so
 it finds the first accepted candidate of a range in closed form and of
 an integer buffer (a numpy array, a memoryview) in numpy, and loops over
-any other candidates; the embedded oracle compares one power per
-candidate.  An oracle without a loop, or a subclass that changes the
-answer rule, scans through ``query_coords``, so both entry points ask
-and charge the same queries.  The one view, :class:`OracleView`, keeps no counter: it
-maps coordinates, or a scan's base and step, and charges through the
-oracle it wraps.  :func:`normalize_oracle` and ``algorithms.lift_oracle``
-build it.  :class:`GroverOracle` asks a level-1 identity oracle, so
+any other candidates; the embedded oracle accepts x exactly when
+R^x = H^-1 for two subgroup elements of the line, so it finds the hit
+of a range by baby-step giant-step and of a buffer by one discrete log
+and the same numpy remainder, and compares one power per candidate
+only for the others.  An oracle without a loop, or a subclass that
+changes the answer rule, scans through ``query_coords``, so both entry
+points ask and charge the same queries.  The one view,
+:class:`OracleView`, keeps no counter: it maps coordinates, or a scan's
+base and step, and charges through the oracle it wraps.
+:func:`normalize_oracle` and ``algorithms.lift_oracle`` build it.  :class:`GroverOracle` asks a level-1 identity oracle, so
 point-search queries use the same counter too.
 
 Everything that would let algorithm code peek at the hidden normal vector
@@ -238,9 +241,11 @@ class OracleBase:
     # scan query by query, so a scan believes the answers the queries get.
     _line_loop = None
     # The leaf's answer to a scan of a range or integer buffer,
-    # ``_line_index(base, step, seq)``: the least i >= 0 at which seq,
-    # continued past its end, would hold an accepted candidate, or None
-    # when no i would.  None here, and wherever ``_line_loop`` is None.
+    # ``_line_index(base, step, seq)``: the least i >= 0 at which seq holds
+    # an accepted candidate, or else None or any i past its end.  A leaf
+    # that counts more than queries (``mults``) charges the candidates
+    # tried, the first min(i + 1, len(seq)).  None here, and wherever
+    # ``_line_loop`` is None.
     _line_index = None
 
     def __init_subclass__(cls, **kwargs):
@@ -592,19 +597,36 @@ def _first_residue(values: np.ndarray, p: int, t: int) -> Optional[int]:
     return None
 
 
+def _line_point(start: list, moving: list, x: int, p: int) -> Tuple[int, ...]:
+    """The query base + x*step, from the reduced base and moving coordinates."""
+    coords = start.copy()
+    for j, b, s in moving:
+        coords[j] = (b + x * s) % p
+    return tuple(coords)
+
+
 def _scan_by_queries(oracle, base: Sequence[int], step: Sequence[int], candidates: Iterable[int]) -> Optional[int]:
-    """The line scan query by query, through ``oracle.query_coords``."""
+    """The line scan query by query, through ``oracle.query_coords``.
+
+    Each candidate is taken through ``operator.index`` before its query
+    is formed, so a fixed-width integer (numpy's int64) cannot wrap.
+    """
     _check_line(oracle, base, step)
     p = oracle.modulus.p
+    index = operator.index
     query_coords = oracle.query_coords
-    start = [b % p for b in map(operator.index, base)]
+    start = [b % p for b in map(index, base)]
     # Only the coordinates where the step is nonzero move with x.
-    moving = [(j, start[j], s % p) for j, s in enumerate(map(operator.index, step)) if s % p]
+    moving = [(j, start[j], s % p) for j, s in enumerate(map(index, step)) if s % p]
     for x in candidates:
-        coords = start.copy()
-        for j, b, s in moving:
-            coords[j] = (b + x * s) % p
-        if query_coords(tuple(coords)) == 1:
+        try:
+            e = index(x)
+        except TypeError:
+            # No integer (a float): its query is charged, then refused as a
+            # leaf refuses it, also when no coordinate moves with x.
+            query_coords(_line_point(start, moving, x, p))
+            raise
+        if query_coords(_line_point(start, moving, e, p)) == 1:
             return x
     return None
 

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from dhbox.algorithms import (
     DlogOracle,
     EmbeddedOracle,
     NotAGeneratorError,
+    _mults_below,
+    _pow_mults,
     brute_force_hidden_vector,
     brute_force_secret,
     cdh_given_secret,
@@ -676,41 +679,74 @@ class _Proxy:
         return self.inner.query_coords(coords)
 
 
+def _moved_onto(vec, effective, j0, p, x=0, step=None):
+    """vec with coordinate j0 (where effective is 1) moved so that the query
+    vec + x*step lies on the hyperplane of the effective normal."""
+    point = vec if step is None else [v + x * s for v, s in zip(vec, step)]
+    vec = list(vec)
+    vec[j0] -= sum(n * c for n, c in zip(effective, point)) % p
+    return tuple(vec)
+
+
 @st.composite
 def _embedded_scans(draw):
     p, q = draw(st.sampled_from(((3, 7), (5, 11), (11, 23), (13, 53), (101, 607))))
     g1 = _subgroup_generator(p, q)
-    gens = (g1,) + tuple(pow(g1, draw(st.integers(0, p - 1)), q) for _ in range(3))
+    a = [draw(st.integers(0, p - 1)) for _ in range(3)]
+    gens = (g1,) + tuple(pow(g1, e, q) for e in a)
     setting = draw(st.sampled_from(("leaf", "permuted", "lifted", "proxied")))
     perm = tuple(draw(st.permutations(range(4))))
-    width = 5 if setting == "lifted" else 4
+    # The normal the scanned oracle answers by, and a coordinate where it is 1.
+    effective, j0 = [1, *a], 0
+    if setting == "permuted":
+        effective, j0 = [0] * 4, perm[0]
+        for k, i in enumerate(perm):
+            effective[i] = ([1, *a])[k]
+    elif setting == "lifted":
+        effective.append(0)
+    width = len(effective)
     wide = st.integers(-3 * p, 3 * p)  # negative and unreduced coordinates
     base = tuple(draw(st.lists(wide, min_size=width, max_size=width)))
     step = tuple(draw(st.lists(wide, min_size=width, max_size=width)))
-    if draw(st.booleans()):  # a step that is zero mod p: every answer is alike
-        step = tuple(p * (s % 5 - 2) for s in step)
-    kind = draw(st.sampled_from(("range", "permutation", "tuple", "empty")))
+    kind = draw(st.sampled_from(("range", "permutation", "int64", "tuple", "empty")))
     if kind == "range":
         start = draw(st.integers(-p, p))
-        values = range(start, start + draw(st.integers(0, 2 * p)))
+        # Negative steps, and steps of residue 0 (p, -2p) or -1 (p - 1).
+        stride = draw(st.sampled_from((1, 1, -1, 2, -3, p, -2 * p, p - 1)) | wide.filter(bool))
+        values = range(start, start + stride * draw(st.integers(0, 3 * p)), stride)
     elif kind == "permutation":
         values = np.random.default_rng(draw(st.integers(0, 2**32))).permutation(p)
+    elif kind == "int64":  # negative values and values >= p
+        values = np.array(draw(st.lists(wide, max_size=2 * p)), dtype=np.int64)
     elif kind == "tuple":
         values = tuple(draw(st.lists(wide, max_size=2 * p)))
     else:
         values = ()
+    line = draw(st.sampled_from(("free", "zero", "parallel", "aimed")))
+    if line == "zero":  # a step that is zero mod p: every answer is alike
+        step = tuple(p * (s % 5 - 2) for s in step)
+    elif line == "parallel":  # R = 1 with coordinates that move: alike too
+        step = _moved_onto(step, effective, j0, p)
+        if draw(st.booleans()):
+            base = _moved_onto(base, effective, j0, p)
+    elif line == "aimed" and len(values):  # a hit at a drawn candidate
+        x = int(values[draw(st.integers(0, len(values) - 1))])
+        base = _moved_onto(base, effective, j0, p, x, step)
+    # A range or buffer handed over as it is takes the leaf's index; an
+    # iterator over it takes the loop and keeps what was not drawn.
+    as_given = draw(st.sampled_from((True, True, False)))
     budget = draw(st.none() | st.integers(0, len(values) + 2))
     spent = 0 if budget is None else draw(st.integers(0, budget))
-    return p, q, gens, setting, perm, base, step, values, budget, spent
+    return p, q, gens, setting, perm, base, step, values, as_given, budget, spent
 
 
 @settings(max_examples=300, deadline=None)
 @given(_embedded_scans())
 def test_embedded_scan_kernel_matches_the_loop(case):
-    # The one-loop scan of the embedded oracle, directly, under a view and
-    # behind a proxy, against the query-by-query scan of the loop oracle:
-    # same hit, queries, mults, refusal and leftover candidates.
-    p, q, gens, setting, perm, base, step, values, budget, spent = case
+    # The scan of the embedded oracle, by loop or by index, directly, under
+    # a view and behind a proxy, against the query-by-query scan of the
+    # loop oracle: same hit, queries, mults, refusal and leftover candidates.
+    p, q, gens, setting, perm, base, step, values, as_given, budget, spent = case
     outcomes = []
     for cls in (LoopEmbeddedOracle, EmbeddedOracle):
         leaf = cls(PrimeModulus(p), q, gens)
@@ -725,11 +761,131 @@ def test_embedded_scan_kernel_matches_the_loop(case):
         }[setting]
         rest = iter(values)
         try:
-            result = ("returned", scan_line(oracle, base, step, rest))
+            result = ("returned", scan_line(oracle, base, step, values if as_given else rest))
         except QueryBudgetExceeded as e:
             result = ("refused", str(e))
-        outcomes.append((result, leaf.queries, leaf.mults, list(rest)))
+        outcomes.append((result, leaf.queries, leaf.mults, [] if as_given else list(rest)))
     assert outcomes[0] == outcomes[1]
+
+
+def test_embedded_index_scans_match_the_loop():
+    # Buffers by one discrete log and a numpy remainder (or, shorter than
+    # sqrt(p), one power per value), ranges longer than p and a range whose
+    # candidates share one residue, on lines aimed at a candidate, free, or
+    # with R = 1: the hit, queries, mults and refusal of the loop oracle,
+    # drawing no candidate.
+    p, q = 101, 607
+    g1 = _subgroup_generator(p, q)
+    normal = (1, 17, 42, 3)
+    gens = tuple(pow(g1, e, q) for e in normal)
+    rng = np.random.default_rng(5)
+    order = rng.permutation(p)
+    scans = [
+        order,
+        memoryview(order),
+        np.array(rng.integers(-300, 2**40, size=60), dtype=np.int64),
+        order[:3] + 7 * p,
+        np.array([p + 5], dtype=np.int64),
+        range(-150, 250),
+        range(250, -150, -2),
+        range(5, 5 + 40 * p, p),
+    ]
+    base, step = (3, 1, 4, 1), (2, 1, 0, 5)
+    for values in scans:
+        lines = {"free": (base, step), "R = 1": (base, _moved_onto(step, normal, 0, p))}
+        for at in {0, 1, 2, len(values) - 1} & set(range(len(values))):
+            lines[at] = (_moved_onto(base, normal, 0, p, int(values[at]), step), step)
+        for name, (line_base, line_step) in lines.items():
+            for budget in (None, 0, 2, 40):
+                outcomes = []
+                for cls in (LoopEmbeddedOracle, EmbeddedOracle):
+                    leaf = cls(PrimeModulus(p), q, gens)
+                    leaf._budget = budget
+                    try:
+                        with mock.patch.object(EmbeddedOracle, "_line_loop", side_effect=AssertionError("drew")):
+                            result = ("returned", scan_line(leaf, line_base, line_step, values))
+                    except QueryBudgetExceeded as e:
+                        result = ("refused", str(e))
+                    outcomes.append((result, leaf.queries, leaf.mults))
+                assert outcomes[0] == outcomes[1], (values, name, budget)
+
+
+def test_mults_below_is_the_sum_of_the_charges():
+    total = 0
+    for n in range(4097):
+        assert _mults_below(n) == total, n
+        total += _pow_mults(n)
+
+
+def test_embedded_index_scans_at_the_largest_modulus():
+    # p = 2^61 - 1 with q = 52p + 1: the scan by index bounds its discrete
+    # log by the budget's room, so short budgeted ranges stay cheap, and
+    # tests a short buffer one power per value; it matches the loop
+    # oracle's hit, queries, mults and refusal, also on a range that wraps
+    # past p and on int64 values beyond p.
+    p = 2**61 - 1
+    q = 52 * p + 1
+    g1 = _subgroup_generator(p, q)
+    rng = np.random.default_rng(61)
+    a = [int(v) for v in rng.integers(0, p, size=3)]
+    gens = (g1,) + tuple(pow(g1, e, q) for e in a)
+    normal = (1, *a)
+
+    def aimed(base, step, x):
+        # Shift coordinate 0 of base so that the query at x is accepted.
+        dot = sum(n * (b + x * s) for n, b, s in zip(normal, base, step)) % p
+        return (base[0] - dot) % p, *base[1:]
+
+    e0, mixed = (1, 0, 0, 0), (1, p - 1, 3, 0)
+    cases = [
+        (aimed((0, 5, 0, 7), e0, p + 3), e0, range(p - 5, p + 40), None),
+        (aimed((0, 5, 0, 7), e0, p + 3), e0, range(p - 5, p + 40), 5),
+        (aimed((0, 5, 0, 7), e0, p + 3), e0, range(p - 5, p + 40), 9),
+        (aimed((2, 1, p - 9, 4), mixed, 17), mixed, range(40, -3, -1), 30),
+        (aimed((2, 1, p - 9, 4), mixed, 17), mixed, range(40, -3, -1), 20),
+        ((3, 1, 4, 1), mixed, range(p - 5, p + 30, 7), None),
+        ((3, 1, 4, 1), mixed, range(p - 5, p + 30), 12),
+        ((3, 1, 4, 1), (p, 2 * p, 0, -p), range(p - 5, p + 30), None),
+        (aimed((0, 5, 0, 7), e0, 3), e0, np.array([p - 2, 2, p + 3, 3, 7], dtype=np.int64), None),
+        (aimed((0, 5, 0, 7), e0, 3), e0, np.array([p - 2, 2, p + 3, 3, 7], dtype=np.int64), 2),
+        ((3, 1, 4, 1), mixed, np.array([p - 2, 2, p + 3], dtype=np.int64), None),
+    ]
+    for base, step, values, budget in cases:
+        outcomes = []
+        for cls in (LoopEmbeddedOracle, EmbeddedOracle):
+            leaf = cls(PrimeModulus(p), q, gens)
+            leaf._budget = budget
+            try:
+                result = ("returned", scan_line(leaf, base, step, values))
+            except QueryBudgetExceeded as e:
+                result = ("refused", str(e))
+            outcomes.append((result, leaf.queries, leaf.mults))
+        assert outcomes[0] == outcomes[1], (base, step, values, budget)
+        assert outcomes[0][2] > 0
+    # The aimed cases do hit, after the wrap: p + 3 is the ninth candidate.
+    leaf = EmbeddedOracle(PrimeModulus(p), q, gens)
+    assert scan_line(leaf, aimed((0, 5, 0, 7), e0, p + 3), e0, range(p - 5, p + 40)) == p + 3
+    assert leaf.queries == 9
+    # A range of 2^34 candidates keeps at most 2^16 baby steps and takes
+    # more giant steps; the hit at index 2^33 + 7 is still the first.
+    leaf = EmbeddedOracle(PrimeModulus(p), q, gens)
+    x = 2**33 + 7
+    assert scan_line(leaf, aimed((0, 5, 0, 7), e0, x), e0, range(2**34)) == x
+    assert leaf.queries == x + 1
+
+
+def test_embedded_search_takes_the_index():
+    # brute_force_hidden_vector's range(p) scans draw no candidate from the
+    # embedded leaf, and charge what the loop oracle charges.
+    pm, q = PrimeModulus(101), 607
+    g1 = pow(2, 6, q)
+    gens = (g1, pow(g1, 17, q), pow(g1, 42, q), pow(g1, 3, q))
+    oracle, inst = embed_generic_group(pm, q, gens)
+    reference = LoopEmbeddedOracle(pm, q, gens)
+    with mock.patch.object(EmbeddedOracle, "_line_loop", side_effect=AssertionError("drew candidates")):
+        assert ddh_decide_by_search(oracle, inst) == ddh_decide_by_search(reference, inst) == 0
+    assert oracle.queries == reference.queries == 17 + 42 + 3 + 3
+    assert oracle.mults == reference.mults
 
 
 def test_embedded_subclass_that_changes_the_rule_scans_query_by_query():
@@ -762,8 +918,8 @@ def test_embedded_subclass_that_changes_the_rule_scans_query_by_query():
     assert logged.log == [(x, 10, 0, 0) for x in range(4)]
     assert logged.queries == 4
     for cls in (_Liar, _Logged, LoopEmbeddedOracle):
-        assert cls._line_loop is None
-    assert EmbeddedOracle._line_loop is not None
+        assert cls._line_loop is None and cls._line_index is None
+    assert EmbeddedOracle._line_loop is not None and EmbeddedOracle._line_index is not None
 
 
 class _FixedOrder:

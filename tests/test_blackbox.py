@@ -392,6 +392,24 @@ def test_int64_candidates_are_exact_at_the_largest_modulus():
         assert raw.queries == 3
 
 
+def test_query_loop_takes_numpy_candidates_as_ints():
+    # Scanned query by query at p = 2^61 - 1, an int64 candidate times the
+    # step p - 1 would wrap; it is taken as an int first.
+    p = 2**61 - 1
+
+    class _Logged(IdentityOracle):
+        __slots__ = ()
+
+        def query_coords(self, coords):
+            return super().query_coords(coords)
+
+    oracle = _Logged.level1(PrimeModulus(p), p - 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scan_line(oracle, (0, p - 1), (p - 1, 0), np.array([9, 10, 11], dtype=np.int64)) == 10
+    assert oracle.queries == 2
+
+
 # Integer formats of a buffer, with the values each can hold.
 _FORMATS = {f: (int(np.iinfo(f).min), int(np.iinfo(f).max)) for f in "bBhHiIlLqQ"}
 
@@ -509,13 +527,15 @@ def test_float_candidates_are_refused_alike():
                 first_on_line(oracle, candidates())
             assert oracle.queries == refused_at, (name, order)
     # With the step parallel to the line (c1 = 0) every candidate is
-    # accepted, or none is, and each one tried is still taken as an integer.
+    # accepted, or none is, and each one tried is still taken as an integer,
+    # also when the step is 0 mod p and the query holds no float.
     for name, make in makers.items():
-        for base, candidates, refused_at in (((0, 0), [2.5, 4], 1), ((1, 0), [4, 2.5], 2)):
-            oracle = make()
-            with pytest.raises(TypeError):
-                scan_line(oracle, base, (0, 1), candidates)
-            assert oracle.queries == refused_at, (name, base)
+        for step in ((0, 1), (0, 7)):
+            for base, candidates, refused_at in (((0, 0), [2.5, 4], 1), ((1, 0), [4, 2.5], 2)):
+                oracle = make()
+                with pytest.raises(TypeError):
+                    scan_line(oracle, base, step, candidates)
+                assert oracle.queries == refused_at, (name, base, step)
 
 
 class _Proxy:
