@@ -23,7 +23,6 @@ from .blackbox import (
     OracleBase,
     OracleView,
     _check_escrow,
-    _first_residue,
     _length,
     canonical_element,
     coset_label,
@@ -453,8 +452,9 @@ def _first_power(c: int, goal: int, n: int, q: int) -> Optional[int]:
     Shanks' baby-step giant-step: with m baby steps c^j (j < m), the
     first giant step goal * c^(-k*m) that meets one gives i = k*m + j.
     m = ceil(sqrt(n)) up to ``_MAX_BABY_STEPS``, so the search takes
-    O(sqrt(n)) multiplications up to n = 2^32.  c = 1, or n is at most
-    the order of c, so that the baby steps are distinct.
+    O(sqrt(n)) multiplications up to n = 2^32, and an i < m is met while
+    the baby steps are built, for i + 1 multiplications.  c = 1, or n is
+    at most the order of c, so that the baby steps are distinct.
     """
     if n <= 0:
         return None
@@ -464,6 +464,8 @@ def _first_power(c: int, goal: int, n: int, q: int) -> Optional[int]:
     baby = {}
     power = 1
     for j in range(m):
+        if power == goal:  # the giant step k = 0 would meet it here
+            return j
         baby[power] = j
         power = power * c % q
     giant = pow(power, -1, q)
@@ -492,12 +494,13 @@ class EmbeddedOracle(OracleBase):
     product for the query base + x*step is H * R^(x mod p), with
     H = prod g_i^(b_i mod p) and R = prod g_i^(s_i mod p) (``_line``).
     Tuples and iterators take one power per candidate (``_line_loop``).
-    A range or integer buffer takes none (``_line_index``): the hit of a
-    range by baby-step giant-step, of a buffer by one discrete log and a
-    numpy remainder.  Either way ``mults`` is charged per candidate tried
-    what the query would charge, the coordinates that do not move with x
-    summed once per scan; for a range, whose moving exponents step by a
-    constant mod p, in closed form when that constant is 0 or 1.
+    A range or integer buffer is not drawn (``_line_index``): the hit of
+    a range is found by baby-step giant-step, that of a buffer by one
+    power per value up to the hit.  Either way ``mults`` is charged per
+    candidate tried what the query would charge, the coordinates that do
+    not move with x summed once per scan; for a range, whose moving
+    exponents step by a constant mod p, in closed form when that constant
+    is 0 or 1.
     """
 
     __slots__ = ("q", "generators", "mults")
@@ -576,9 +579,8 @@ class EmbeddedOracle(OracleBase):
         Candidate i of range(start, stop, stride) is accepted exactly when
         (R^stride)^i = target * R^-start, so its hit is the least such
         i < min(n, p), by :func:`_first_power`.  A buffer's hit is its
-        first value = t (mod p) for the discrete log t of target, or,
-        when the buffer is shorter than sqrt(p), the first value whose
-        power is target.  R = 1 accepts every candidate or none.
+        first value whose power is target, one power per value; no
+        library search scans the embedded leaf by buffer.
         """
         p = self.modulus.p
         q = self.q
@@ -587,13 +589,9 @@ class EmbeddedOracle(OracleBase):
         if isinstance(seq, range):
             goal = target * pow(ratio, -seq.start % p, q) % q
             i = _first_power(pow(ratio, seq.step % p, q), goal, min(n, p), q)
-        elif ratio == 1:
-            i = 0 if target == 1 else None
-        elif n * n < p:  # fewer candidates than baby steps: a power each
-            powers = [pow(ratio, x % p, q) for x in np.asarray(seq).tolist()]
-            i = powers.index(target) if target in powers else None
         else:
-            i = _first_residue(np.asarray(seq), p, _first_power(ratio, target, p, q))
+            values = enumerate(map(operator.index, seq))
+            i = next((k for k, x in values if pow(ratio, x % p, q) == target), None)
         tried = n if i is None else min(i + 1, n)
         mults = tried * fixed
         if isinstance(seq, range):

@@ -20,9 +20,8 @@ it finds the first accepted candidate of a range in closed form and of
 an integer buffer (a numpy array, a memoryview) in numpy, and loops over
 any other candidates; the embedded oracle accepts x exactly when
 R^x = H^-1 for two subgroup elements of the line, so it finds the hit
-of a range by baby-step giant-step and of a buffer by one discrete log
-and the same numpy remainder, and compares one power per candidate
-only for the others.  An oracle without a loop, or a subclass that
+of a range by baby-step giant-step and compares one power per
+candidate for the others.  An oracle without a loop, or a subclass that
 changes the answer rule, scans through ``query_coords``, so both entry
 points ask and charge the same queries.  The one view,
 :class:`OracleView`, keeps no counter: it maps coordinates, or a scan's
