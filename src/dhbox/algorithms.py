@@ -14,8 +14,6 @@ import operator
 from math import isqrt
 from typing import Callable, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from .blackbox import (
     Escrow,
     GroupElement,
@@ -23,7 +21,7 @@ from .blackbox import (
     OracleBase,
     OracleView,
     _check_escrow,
-    _length,
+    _index_length,
     canonical_element,
     coset_label,
     first_on_line,
@@ -406,9 +404,10 @@ def _mults_below(n: int) -> int:
 
     e = 0 costs 1.  Bit lengths: e has more than j bits exactly when
     e >= 2^j, which holds for n - 2^j of the e < n when 2^j < n, so they
-    sum to L*n - (2^L - 1) for L = (n - 1).bit_length().  Bit counts: for each set bit j of n, the 2^j numbers below n that
-    share n's bits above j and have 0 at j carry those ``ones`` bits and
-    j*2^(j-1) bits below j.
+    sum to L*n - (2^L - 1) for L = (n - 1).bit_length().  Bit counts:
+    for each set bit j of n, the 2^j numbers below n that share n's bits
+    above j and have 0 at j carry those ``ones`` bits and j*2^(j-1) bits
+    below j.
     """
     if n <= 0:
         return 0
@@ -493,14 +492,14 @@ class EmbeddedOracle(OracleBase):
     A line scan is one discrete logarithm.  Every g_i has order p, so the
     product for the query base + x*step is H * R^(x mod p), with
     H = prod g_i^(b_i mod p) and R = prod g_i^(s_i mod p) (``_line``).
-    Tuples and iterators take one power per candidate (``_line_loop``).
-    A range or integer buffer is not drawn (``_line_index``): the hit of
-    a range is found by baby-step giant-step, that of a buffer by one
-    power per value up to the hit.  Either way ``mults`` is charged per
-    candidate tried what the query would charge, the coordinates that do
-    not move with x summed once per scan; for a range, whose moving
-    exponents step by a constant mod p, in closed form when that constant
-    is 0 or 1.
+    A range, an integer buffer or a tuple of ints is not drawn
+    (``_line_index``): the hit of a range is found by baby-step
+    giant-step, that of a buffer or tuple by one power per value up to
+    the hit, and ``mults`` is charged per candidate tried what the query
+    would charge, the coordinates that do not move with x summed once per
+    scan; for a range, whose moving exponents step by a constant mod p,
+    in closed form when that constant is 0 or 1.  Other candidates are
+    scanned query by query.
     """
 
     __slots__ = ("q", "generators", "mults")
@@ -559,33 +558,20 @@ class EmbeddedOracle(OracleBase):
                 fixed += _pow_mults(b)
         return pow(head, -1, q), ratio, fixed, moving
 
-    def _line_loop(self, base, step, numbered) -> Optional[int]:
-        p = self.modulus.p
-        q = self.q
-        target, ratio, fixed, moving = self._line(base, step)
-        for x, _ in numbered:
-            e = operator.index(x) % p
-            mults = fixed
-            for b, s in moving:
-                mults += _pow_mults((b + e * s) % p)
-            self.mults += mults
-            if pow(ratio, e, q) == target:
-                return x
-        return None
-
     def _line_index(self, base, step, seq) -> Optional[int]:
-        """The first accepted index of a range or buffer, and its ``mults``.
+        """The first accepted index of a range, buffer or tuple, and its
+        ``mults``.
 
         Candidate i of range(start, stop, stride) is accepted exactly when
         (R^stride)^i = target * R^-start, so its hit is the least such
-        i < min(n, p), by :func:`_first_power`.  A buffer's hit is its
-        first value whose power is target, one power per value; no
-        library search scans the embedded leaf by buffer.
+        i < min(n, p), by :func:`_first_power`.  The non-range branch
+        answers tuples and buffers: the hit is the first value whose power
+        is target, one power per value.
         """
         p = self.modulus.p
         q = self.q
         target, ratio, fixed, moving = self._line(base, step)
-        n = _length(seq)
+        n = _index_length(seq)
         if isinstance(seq, range):
             goal = target * pow(ratio, -seq.start % p, q) % q
             i = _first_power(pow(ratio, seq.step % p, q), goal, min(n, p), q)
@@ -598,7 +584,7 @@ class EmbeddedOracle(OracleBase):
             for b, s in moving:
                 mults += _mults_of_progression((b + seq.start * s) % p, seq.step * s % p, tried, p)
         else:
-            for x in np.asarray(seq[:tried]).tolist():
+            for x in map(operator.index, seq[:tried]):
                 for b, s in moving:
                     mults += _pow_mults((b + x * s) % p)
         self.mults += mults

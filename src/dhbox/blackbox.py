@@ -9,25 +9,27 @@ evaluation.
 Every identity oracle derives from :class:`OracleBase`, which holds the
 dimension check, the only counter and the budget, and leaves each leaf
 oracle (:class:`RawOracle`, :class:`IdentityOracle`, the embedded oracle
-of ``algorithms``) only its answer rule and its line scan.  The counter
+of ``algorithms``) only its answer rule and its line index.  The counter
 has two entry points: ``query_coords`` charges one query, and
 ``scan_line`` charges one query per candidate x of a line base + x*step,
 in order, up to the first accepted one.  ``OracleBase.scan_line`` is the
 one scaffold of every scan: the width checks, the budget cut, the charge
-and the refusal.  Inside it a leaf answers the whole scan: a raw oracle
-accepts x exactly when x = t (mod p) for one residue t of the line, so
-it finds the first accepted candidate of a range in closed form and of
-an integer buffer (a numpy array, a memoryview) in numpy, and loops over
-any other candidates; the embedded oracle accepts x exactly when
-R^x = H^-1 for two subgroup elements of the line, so it finds the hit
-of a range by baby-step giant-step and compares one power per
-candidate for the others.  An oracle without a loop, or a subclass that
-changes the answer rule, scans through ``query_coords``, so both entry
-points ask and charge the same queries.  The one view,
+and the refusal.  A range, a one-dimensional integer buffer or a tuple
+of ints is scanned by the leaf's index, which names the first accepted
+candidate without a query: a raw oracle accepts x exactly when
+x = t (mod p) for one residue t of the line, so it answers a range in
+closed form, a buffer in numpy and a tuple one remainder per item; the
+embedded oracle accepts x exactly when R^x = H^-1 for two subgroup
+elements of the line, so it answers a range by baby-step giant-step and
+the others one power per candidate.  Any other candidates (an iterator,
+a list, floats), any oracle without an index, and a subclass that
+changes the answer rule are scanned through ``query_coords``, so both
+entry points ask and charge the same queries.  The one view,
 :class:`OracleView`, keeps no counter: it maps coordinates, or a scan's
 base and step, and charges through the oracle it wraps.
-:func:`normalize_oracle` and ``algorithms.lift_oracle`` build it.  :class:`GroverOracle` asks a level-1 identity oracle, so
-point-search queries use the same counter too.
+:func:`normalize_oracle` and ``algorithms.lift_oracle`` build it.
+:class:`GroverOracle` asks a level-1 identity oracle, so point-search
+queries use the same counter too.
 
 Everything that would let algorithm code peek at the hidden normal vector
 is gated behind an explicit :class:`Escrow` capability.  Reference maps
@@ -41,7 +43,6 @@ query count meaningful.
 from __future__ import annotations
 
 import operator
-from itertools import count, islice
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -220,38 +221,33 @@ class OracleBase:
     rest, and returns the leaf's answer rule ``_answer(coords)``.
     ``scan_line`` asks the queries base + x*step for each candidate x in
     order and stops at the first accepted one.  It holds everything about
-    a scan but the answers: a leaf supplies only ``_line_loop``, which
-    answers a whole scan in one loop, and may add ``_line_index``, which
-    names the first accepted index of a range or integer buffer; an
-    oracle without a loop scans through ``query_coords``.  A view (:class:`OracleView`) leaves the
-    counter unset; it maps coordinates, or a scan's base and step, and
-    passes the query or scan to the oracle it wraps, which checks and
-    charges it.  A view uses only the public surface of what it wraps, so
-    a wrapped oracle may itself be a view or a proxy.
+    a scan but the answers: a leaf supplies only ``_line_index``, which
+    names the first accepted index of a range, an integer buffer or a
+    tuple of ints; other candidates, and an oracle without an index, are
+    scanned through ``query_coords``.  A view (:class:`OracleView`)
+    leaves the counter unset; it maps coordinates, or a scan's base and
+    step, and passes the query or scan to the oracle it wraps, which
+    checks and charges it.  A view uses only the public surface of what
+    it wraps, so a wrapped oracle may itself be a view or a proxy.
     """
 
     __slots__ = ("modulus", "level", "_queries", "_budget")
 
-    # The leaf's loop over a whole scan, ``_line_loop(base, step, numbered)``:
-    # it draws (x, _) pairs from ``numbered`` in order and returns the first
-    # accepted x, or None once ``numbered`` is exhausted.  None here, and in
+    # The leaf's answer to a scan of a range, an integer buffer or a tuple
+    # of ints, ``_line_index(base, step, seq)``: the least i >= 0 at which
+    # seq holds an accepted candidate, or else None or any i past its end.
+    # A leaf that counts more than queries (``mults``) charges the
+    # candidates tried, the first min(i + 1, len(seq)).  None here, and in
     # a subclass that overrides ``_answer`` or ``query_coords`` below the
-    # class that wrote the loop (a lying test oracle, a recorder): those
+    # class that wrote the index (a lying test oracle, a recorder): those
     # scan query by query, so a scan believes the answers the queries get.
-    _line_loop = None
-    # The leaf's answer to a scan of a range or integer buffer,
-    # ``_line_index(base, step, seq)``: the least i >= 0 at which seq holds
-    # an accepted candidate, or else None or any i past its end.  A leaf
-    # that counts more than queries (``mults``) charges the candidates
-    # tried, the first min(i + 1, len(seq)).  None here, and wherever
-    # ``_line_loop`` is None.
     _line_index = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        owner = next(k for k in cls.__mro__ if "_line_loop" in vars(k))
+        owner = next(k for k in cls.__mro__ if "_line_index" in vars(k))
         if cls._answer is not owner._answer or cls.query_coords is not owner.query_coords:
-            cls._line_loop = cls._line_index = None
+            cls._line_index = None
 
     def __init__(self, modulus: PrimeModulus, level: int, budget: Optional[int] = None):
         self.modulus = modulus
@@ -286,47 +282,26 @@ class OracleBase:
 
         Each candidate tried costs one query, in the given order, and the
         scan stops at the first accepted one.  Returns None when no
-        candidate is accepted.  An empty tuple of candidates asks nothing.
+        candidate is accepted.  An empty scan asks nothing.
 
-        With a ``_line_loop`` the candidates drawn are charged together
-        when the scan ends, also when a candidate raises, and a scan that
-        outruns the budget is refused at the same candidate, with the same
-        count and message, as the query-by-query loop.  A range, or a
-        one-dimensional buffer of integers, is not drawn at all when the
-        leaf also has a ``_line_index``: it is cut to the budget's room,
-        the leaf names the index i of the first accepted candidate, and
-        i + 1 queries are charged (the whole room when none is accepted).
+        A range, a one-dimensional integer buffer or a tuple of ints is
+        not drawn when the leaf has a ``_line_index``: it is cut to the
+        budget's room, the leaf names the index i of the first accepted
+        candidate, and i + 1 queries are charged (the whole room when none
+        is accepted, and then a scan that the budget cut short is refused
+        as the query-by-query loop refuses it).  Other candidates are
+        scanned query by query.
         """
-        loop = self._line_loop
-        if loop is None:
+        index = self._line_index
+        n = None if index is None else _index_length(candidates)
+        if n is None:
             return _scan_by_queries(self, base, step, candidates)
         _check_line(self, base, step)
-        if isinstance(candidates, tuple):
-            if not candidates:
-                return None
-        elif self._line_index is not None and _indexable(candidates):
-            return self._scan_indexed(base, step, candidates)
-        rest = iter(candidates)
-        scan = rest if self._budget is None else islice(rest, max(self._budget - self._queries, 0))
-        # zip draws a candidate before a number, so the numbers drawn
-        # count the candidates drawn, whatever ends the loop.
-        drawn = count()
-        try:
-            hit = loop(base, step, zip(scan, drawn))
-        finally:
-            self._queries += next(drawn)
-        if hit is None:
-            # The budget cut the scan short if a candidate is left over.
-            for _ in rest:
-                raise self._over_budget()
-        return hit
-
-    def _scan_indexed(self, base: Sequence[int], step: Sequence[int], candidates) -> Optional[int]:
-        """``scan_line`` of a range or integer buffer, by the leaf's index."""
-        n = _length(candidates)
+        if not n:
+            return None
         room = n if self._budget is None else min(n, max(self._budget - self._queries, 0))
-        scan = candidates[:room]
-        i = self._line_index(base, step, scan)
+        scan = candidates if room == n else candidates[:room]
+        i = index(base, step, scan)
         if i is not None and i < room:
             self._queries += i + 1
             return scan[i]
@@ -359,9 +334,9 @@ class RawOracle(OracleBase):
 
     A line scan is decided by one residue t (``_residue``): a candidate
     is accepted exactly when it is t mod p.  A range is answered in
-    closed form and an integer buffer by a numpy remainder, so neither
-    loops over its candidates in Python; other candidates are tested one
-    remainder each, and a float among them is refused as a query is.
+    closed form, an integer buffer by a numpy remainder and a tuple of
+    ints one remainder per item, so no query is formed per candidate;
+    other candidates are scanned query by query.
     """
 
     __slots__ = ("_normal",)
@@ -400,24 +375,9 @@ class RawOracle(OracleBase):
         # c1 = 1 in first_on_line on a normalized oracle: no inverse to take.
         return -c0 % p if c1 == 1 else -c0 * pow(c1, -1, p) % p
 
-    def _line_loop(self, base: Sequence[int], step: Sequence[int], numbered) -> Optional[int]:
-        """The line scan decided by one residue, one remainder per candidate.
-
-        Each candidate is taken through ``operator.index``, as a query
-        takes its coordinates: a float is refused, and no product of x is
-        formed, so a fixed-width integer (numpy's int64) is exact.
-        """
-        p = self.modulus.p
-        index = operator.index
-        t = self._residue(base, step)
-        for x, _ in numbered:
-            # With no residue (c1 = 0) the first candidate or none is accepted.
-            if index(x) % p == t or t == _EVERY:
-                return x
-        return None
-
     def _line_index(self, base: Sequence[int], step: Sequence[int], seq) -> Optional[int]:
-        """The line scan of a range in closed form, of a buffer in numpy.
+        """The line scan of a range in closed form, of a buffer in numpy,
+        of a tuple one remainder per item.
 
         A range's candidates are start + i*step, so the first accepted i
         is (t - start)/step mod p, or 0 or none when step = 0 (mod p).
@@ -433,6 +393,13 @@ class RawOracle(OracleBase):
             if s == 0:
                 return 0 if (seq.start - t) % p == 0 else None
             return (t - seq.start) * pow(s, -1, p) % p
+        if isinstance(seq, tuple):
+            i = 0
+            for x in seq:
+                if x % p == t:
+                    return i
+                i += 1
+            return None
         return _first_residue(np.asarray(seq), p, t)
 
     def reveal_normal(self, escrow: Escrow) -> Tuple[int, ...]:
@@ -561,20 +528,26 @@ _FIRST_CHUNK = 256
 _LAST_CHUNK = 1 << 16
 
 
-def _indexable(candidates) -> bool:
-    """Whether a scan can index its candidates: a range or an integer buffer."""
+def _index_length(candidates) -> Optional[int]:
+    """The number of candidates of a scan that can index them, or None.
+
+    A tuple of exact ints (no bool, no numpy integer), a range or a
+    one-dimensional integer buffer can be indexed; a range is counted
+    also when it is longer than sys.maxsize, where len() overflows.
+    """
+    if isinstance(candidates, tuple):
+        for x in candidates:
+            if type(x) is not int:
+                return None
+        return len(candidates)
     if isinstance(candidates, range):
-        return True
+        return (candidates[-1] - candidates[0]) // candidates.step + 1 if candidates else 0
     if isinstance(candidates, memoryview):
-        return candidates.ndim == 1 and candidates.format in _INT_FORMATS
-    return isinstance(candidates, np.ndarray) and candidates.ndim == 1 and candidates.dtype.kind in "iu"
-
-
-def _length(seq) -> int:
-    """len(seq), also for a range longer than sys.maxsize, where len() overflows."""
-    if isinstance(seq, range) and seq:
-        return (seq[-1] - seq[0]) // seq.step + 1
-    return len(seq)
+        if candidates.ndim == 1 and candidates.format in _INT_FORMATS:
+            return len(candidates)
+    elif isinstance(candidates, np.ndarray) and candidates.ndim == 1 and candidates.dtype.kind in "iu":
+        return len(candidates)
+    return None
 
 
 def _first_residue(values: np.ndarray, p: int, t: int) -> Optional[int]:

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from unittest import mock
 
@@ -734,8 +735,8 @@ def _embedded_scans(draw):
     elif line == "aimed" and len(values):  # a hit at a drawn candidate
         x = int(values[draw(st.integers(0, len(values) - 1))])
         base = _moved_onto(base, effective, j0, p, x, step)
-    # A range or buffer handed over as it is takes the leaf's index; an
-    # iterator over it takes the loop and keeps what was not drawn.
+    # A range, buffer or tuple handed over as it is takes the leaf's index;
+    # an iterator over it takes the query loop and keeps what was not drawn.
     as_given = draw(st.sampled_from((True, True, False)))
     budget = draw(st.none() | st.integers(0, len(values) + 2))
     spent = 0 if budget is None else draw(st.integers(0, budget))
@@ -745,7 +746,7 @@ def _embedded_scans(draw):
 @settings(max_examples=300, deadline=None)
 @given(_embedded_scans())
 def test_embedded_scan_kernel_matches_the_loop(case):
-    # The scan of the embedded oracle, by loop or by index, directly, under
+    # The scan of the embedded oracle, by index or query by query, directly, under
     # a view and behind a proxy, against the query-by-query scan of the
     # loop oracle: same hit, queries, mults, refusal and leftover candidates.
     p, q, gens, setting, perm, base, step, values, as_given, budget, spent = case
@@ -842,8 +843,10 @@ def test_embedded_search_takes_the_index():
     gens = (g1, pow(g1, 17, q), pow(g1, 42, q), pow(g1, 3, q))
     oracle, inst = embed_generic_group(pm, q, gens)
     reference = LoopEmbeddedOracle(pm, q, gens)
-    with mock.patch.object(EmbeddedOracle, "_line_loop", side_effect=AssertionError("drew candidates")):
-        assert ddh_decide_by_search(oracle, inst) == ddh_decide_by_search(reference, inst) == 0
+    no_query = mock.patch.object(EmbeddedOracle, "_answer", side_effect=AssertionError("asked a query"))
+    for leaf, guard in ((reference, contextlib.nullcontext()), (oracle, no_query)):
+        with guard:
+            assert ddh_decide_by_search(leaf, inst) == 0
     assert oracle.queries == reference.queries == 17 + 42 + 3 + 3
     assert oracle.mults == reference.mults
 
@@ -878,8 +881,8 @@ def test_embedded_subclass_that_changes_the_rule_scans_query_by_query():
     assert logged.log == [(x, 10, 0, 0) for x in range(4)]
     assert logged.queries == 4
     for cls in (_Liar, _Logged, LoopEmbeddedOracle):
-        assert cls._line_loop is None and cls._line_index is None
-    assert EmbeddedOracle._line_loop is not None and EmbeddedOracle._line_index is not None
+        assert cls._line_index is None
+    assert EmbeddedOracle._line_index is not None
 
 
 class _FixedOrder:

@@ -1,4 +1,5 @@
 import array
+import contextlib
 import functools
 import itertools
 import warnings
@@ -387,9 +388,11 @@ def test_int64_candidates_are_exact_at_the_largest_modulus():
             hit = scan_line(view(fast), base, step, np.array(values, dtype=np.int64))
             expected = _reference_scan(view(ref), base, step, values)
             assert (hit, fast.queries) == (expected, ref.queries) == (secret, 3), name
-        raw = RawOracle((p - 5, 7), pm)
-        assert first_on_line(raw, np.array(values, dtype=np.int64)) == secret
-        assert raw.queries == 3
+        # A tuple of int64 values is scanned query by query, exactly too.
+        for candidates in (np.array(values, dtype=np.int64), tuple(np.array(values, dtype=np.int64))):
+            raw = RawOracle((p - 5, 7), pm)
+            assert first_on_line(raw, candidates) == secret
+            assert raw.queries == 3
 
 
 def test_query_loop_takes_numpy_candidates_as_ints():
@@ -431,11 +434,14 @@ def _indexed_scans(draw):
         permuted[i] = normal[k]
     effective = {"leaf": normal, "permuted": permuted, "lifted": normal + [0]}[view]
     small = min(p, 40)
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(("range", "buffer", "tuple")))
+    if shape == "range":
         start = draw(st.integers(-3 * p, 3 * p))
         # Steps of residue 0 (p, -2p) give every candidate one residue.
         stride = draw(st.sampled_from((1, -1, 2, -3, p, -2 * p, p + 1)) | st.integers(-3 * p, 3 * p).filter(bool))
         values = range(start, start + stride * draw(st.integers(0, 3 * small)), stride)
+    elif shape == "tuple":  # ints that are negative or >= p, and ()
+        values = tuple(draw(st.lists(wide | st.integers(), max_size=3 * small)))
     else:
         kind = draw(st.sampled_from(sorted(_FORMATS)))
         lo, hi = _FORMATS[kind]
@@ -469,25 +475,29 @@ def _build_view(p, normal, view, perm, budget, spent):
 
 
 def _as_ints(values):
-    return values if isinstance(values, range) else [int(v) for v in values.tolist()]
+    return values if isinstance(values, (range, tuple)) else [int(v) for v in values.tolist()]
 
 
 @settings(max_examples=600, deadline=None)
 @given(_indexed_scans())
 def test_indexed_scan_matches_the_query_loop(case):
-    # A range or integer buffer is scanned by index, drawing no candidate,
-    # and gives the hit, count, refusal and message of the query loop over
-    # the same values as ints, directly and under a view.
+    # A range, integer buffer or tuple of ints is scanned by index, asking
+    # no query, and gives the hit, count, refusal and message of the query
+    # loop over the same values as ints, directly and under a view.
     p, normal, view, perm, base, step, values, budget, spent, any_room = case
     _, unbudgeted = _build_view(p, normal, view, perm, None, 0)
     _scan_by_queries(unbudgeted, base, step, _as_ints(values))
     asked = unbudgeted.queries  # the hit's position + 1, or every candidate
     room = {"none": None, "zero": 0, "hit": asked, "short": max(asked - 1, 0), "any": any_room}[budget]
     outcomes = []
-    for scan, candidates in ((_scan_by_queries, _as_ints(values)), (scan_line, values)):
+    no_query = mock.patch.object(RawOracle, "_answer", side_effect=AssertionError("asked a query"))
+    for scan, candidates, guard in (
+        (_scan_by_queries, _as_ints(values), contextlib.nullcontext()),
+        (scan_line, values, no_query),
+    ):
         raw, oracle = _build_view(p, normal, view, perm, None if room is None else spent + room, spent)
         try:
-            with mock.patch.object(RawOracle, "_line_loop", side_effect=AssertionError("drew candidates")):
+            with guard:
                 result = ("returned", scan(oracle, base, step, candidates))
         except QueryBudgetExceeded as e:
             result = ("refused", str(e))
@@ -500,7 +510,8 @@ def test_indexed_scan_matches_the_query_loop(case):
 def test_float_candidates_are_refused_alike():
     # A float candidate makes a float query, which is charged and refused
     # with TypeError: by the leaf, under a view and query by query alike.
-    # 7.0 lies on the line of the secret 0 mod 7, but is not taken.
+    # 7.0 lies on the line of the secret 0 mod 7, but is not taken.  A str
+    # or None candidate makes no query, and is refused uncharged alike.
     pm = PrimeModulus(7)
 
     class _Logged(IdentityOracle):
@@ -519,6 +530,8 @@ def test_float_candidates_are_refused_alike():
         "iterator": (lambda: iter([1, 2, 7.0, 0]), 3),
         "float buffer": (lambda: memoryview(array.array("d", [7.0, 0.0])), 1),
         "float array": (lambda: np.array([1.0, 7.0]), 1),
+        "str": (lambda: ("a",), 0),
+        "None": (lambda: (1, None, 0), 1),
     }
     for name, make in makers.items():
         for order, (candidates, refused_at) in orders.items():
