@@ -6,16 +6,17 @@ The main entry points re-exported here cover field arithmetic, oracles
 with honest query accounting, every reduction between the three problems,
 the exhaustive adversary-bound computation at small primes, the Grover
 search simulator and the reproducible experiment harness.
+
+``import dhbox`` loads only the level-1 core: ``modmath``, ``blackbox``
+and ``algorithms``, which need no numpy.  The study names, from
+``adversary``, ``experiments`` and ``grover_sim``, are in ``_STUDIES``;
+the first access to one of them, or to its module, imports that module
+and binds the name here (PEP 562), so numpy loads with the first study
+or the first scan of a buffer.
 """
 
-from .adversary import (
-    AdversaryReport,
-    ClassifiedVector,
-    adversary_bounds,
-    classify,
-    sigma_gamma,
-    sigma_gamma_h,
-)
+from importlib import import_module
+
 from .algorithms import (
     CdhOracle,
     DHInstance,
@@ -58,12 +59,6 @@ from .blackbox import (
     normalize_oracle,
     random_identity_oracle,
 )
-from .experiments import (
-    run_level2_solution_counts,
-    run_reduction_success,
-    run_scaling,
-)
-from .grover_sim import GroverRun, grover_search, quantum_query_curve
 from .modmath import (
     ALL_RESIDUES,
     PrimeModulus,
@@ -139,3 +134,35 @@ __all__ = [
     "solve_quadratic",
     "sqrt_mod",
 ]
+
+# The study names, by the module that defines them.
+_STUDIES = {
+    "AdversaryReport": "adversary",
+    "ClassifiedVector": "adversary",
+    "adversary_bounds": "adversary",
+    "classify": "adversary",
+    "sigma_gamma": "adversary",
+    "sigma_gamma_h": "adversary",
+    "run_level2_solution_counts": "experiments",
+    "run_reduction_success": "experiments",
+    "run_scaling": "experiments",
+    "GroverRun": "grover_sim",
+    "grover_search": "grover_sim",
+    "quantum_query_curve": "grover_sim",
+}
+
+
+def __getattr__(name):
+    """A study name or study module, imported on first access and bound here."""
+    if name in _STUDIES:
+        value = getattr(import_module(f".{_STUDIES[name]}", __name__), name)
+    elif name in _STUDIES.values():
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -504,7 +504,8 @@ class EmbeddedOracle(OracleBase):
 
     __slots__ = ("q", "generators", "mults")
 
-    def __init__(self, modulus: PrimeModulus, q: int, generators: Tuple[int, int, int, int]):
+    def __init__(self, modulus: PrimeModulus, q: int, generators: Tuple[int, int, int, int],
+                 budget: Optional[int] = None):
         p = modulus.p
         q = operator.index(q)
         if not is_prime(q):
@@ -519,7 +520,7 @@ class EmbeddedOracle(OracleBase):
                 raise ValueError(f"{g} does not lie in the order-{p} subgroup mod {q}")
         if gens[0] == 1:
             raise ValueError("the first element must generate the subgroup")
-        super().__init__(modulus, 3)
+        super().__init__(modulus, 3, budget)
         self.q = q
         self.generators = gens
         self.mults = 0

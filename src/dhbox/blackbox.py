@@ -21,7 +21,9 @@ x = t (mod p) for one residue t of the line, so it answers a range in
 closed form, a buffer in numpy and a tuple one remainder per item; the
 embedded oracle accepts x exactly when R^x = H^-1 for two subgroup
 elements of the line, so it answers a range by baby-step giant-step and
-the others one power per candidate.  Any other candidates (an iterator,
+the others one power per candidate.  numpy is imported by the first
+buffer scan, not with this module, so the level-1 core loads without
+it.  Any other candidates (an iterator,
 a list, floats), any oracle without an index, and a subclass that
 changes the answer rule are scanned through ``query_coords``, so both
 entry points ask and charge the same queries.  The one view,
@@ -43,9 +45,8 @@ query count meaningful.
 from __future__ import annotations
 
 import operator
+import sys
 from typing import Iterable, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .modmath import PrimeModulus, Residue, _require_same_modulus
 
@@ -250,6 +251,11 @@ class OracleBase:
             cls._line_index = None
 
     def __init__(self, modulus: PrimeModulus, level: int, budget: Optional[int] = None):
+        # An exact count: operator.index, as at every other entry point.
+        if budget is not None:
+            budget = operator.index(budget)
+            if budget < 0:
+                raise ValueError(f"query budget must not be negative, got {budget}")
         self.modulus = modulus
         self.level = level
         self._queries = 0
@@ -400,7 +406,7 @@ class RawOracle(OracleBase):
                     return i
                 i += 1
             return None
-        return _first_residue(np.asarray(seq), p, t)
+        return _first_residue(seq, p, t)
 
     def reveal_normal(self, escrow: Escrow) -> Tuple[int, ...]:
         _check_escrow(escrow)
@@ -545,18 +551,27 @@ def _index_length(candidates) -> Optional[int]:
     if isinstance(candidates, memoryview):
         if candidates.ndim == 1 and candidates.format in _INT_FORMATS:
             return len(candidates)
-    elif isinstance(candidates, np.ndarray) and candidates.ndim == 1 and candidates.dtype.kind in "iu":
-        return len(candidates)
+        return None
+    # No ndarray exists before numpy is imported, so the check imports nothing.
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(candidates, np.ndarray):
+        if candidates.ndim == 1 and candidates.dtype.kind in "iu":
+            return len(candidates)
     return None
 
 
-def _first_residue(values: np.ndarray, p: int, t: int) -> Optional[int]:
-    """The first index i with values[i] = t (mod p), or None.
+def _first_residue(buffer, p: int, t: int) -> Optional[int]:
+    """The first index i with buffer[i] = t (mod p), or None.
 
-    numpy refuses a remainder by a p that the values' own type cannot
-    hold, so formats narrower than 64 bits are widened to int64 first;
-    every modulus is below 2^61, so int64 and uint64 hold it.
+    The one place a scan imports numpy: a memoryview is the one buffer
+    that can reach it before numpy is loaded.  numpy refuses a remainder
+    by a p that the values' own type cannot hold, so formats narrower
+    than 64 bits are widened to int64 first; every modulus is below
+    2^61, so int64 and uint64 hold it.
     """
+    import numpy as np
+
+    values = np.asarray(buffer)
     work = np.int64 if values.dtype.itemsize < 8 else values.dtype
     start, size = 0, _FIRST_CHUNK
     while start < len(values):

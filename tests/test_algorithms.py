@@ -752,8 +752,7 @@ def test_embedded_scan_kernel_matches_the_loop(case):
     p, q, gens, setting, perm, base, step, values, as_given, budget, spent = case
     outcomes = []
     for cls in (LoopEmbeddedOracle, EmbeddedOracle):
-        leaf = cls(PrimeModulus(p), q, gens)
-        leaf._budget = budget  # the embedding takes no budget argument; set the core's
+        leaf = cls(PrimeModulus(p), q, gens, budget)
         for _ in range(spent):
             leaf.query_coords((1, 0, 0, 0))
         oracle = {
@@ -814,8 +813,7 @@ def test_embedded_index_scans_at_the_largest_modulus():
     for base, step, values, budget in cases:
         outcomes = []
         for cls in (LoopEmbeddedOracle, EmbeddedOracle):
-            leaf = cls(PrimeModulus(p), q, gens)
-            leaf._budget = budget
+            leaf = cls(PrimeModulus(p), q, gens, budget)
             try:
                 result = ("returned", scan_line(leaf, base, step, values))
             except QueryBudgetExceeded as e:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhbox.algorithms import brute_force_hidden_vector, embed_generic_group, lift_oracle
+from dhbox.algorithms import EmbeddedOracle, brute_force_hidden_vector, embed_generic_group, lift_oracle
 from dhbox.blackbox import (
     Escrow,
     EscrowError,
@@ -122,8 +122,7 @@ def _nested_view_case():
 
 def _embedded_case():
     # 2 has order 11 modulo 23; exponents (1, 3, 4, 1)
-    o, _ = embed_generic_group(PrimeModulus(11), 23, (2, 8, 16, 2))
-    o._budget = 6  # the embedding takes no budget argument; set the core's
+    o = EmbeddedOracle(PrimeModulus(11), 23, (2, 8, 16, 2), budget=6)
     return o, o, 6
 
 
@@ -835,6 +834,39 @@ def test_grover_oracle_budget():
     assert g.query(3) == 1
     with pytest.raises(QueryBudgetExceeded):
         g.query(4)
+
+
+_BUDGETED = {
+    "RawOracle": lambda budget: RawOracle((1, 3), PrimeModulus(7), budget=budget),
+    "IdentityOracle.level1": lambda budget: IdentityOracle.level1(PrimeModulus(7), 3, budget=budget),
+    "GroverOracle": lambda budget: GroverOracle(PrimeModulus(7), 3, budget=budget),
+    "EmbeddedOracle": lambda budget: EmbeddedOracle(PrimeModulus(11), 23, (2, 8, 16, 2), budget=budget),
+}
+
+
+@pytest.mark.parametrize("make", _BUDGETED.values(), ids=_BUDGETED.keys())
+def test_budgets_are_exact_counts(make):
+    # A budget passes through operator.index, as every other entry point
+    # does: a fraction is refused at construction, not by whichever scan
+    # path meets it first, and a negative budget is refused outright.
+    for fraction in (2.5, 0.5):
+        with pytest.raises(TypeError):
+            make(fraction)
+    with pytest.raises(ValueError, match="negative"):
+        make(-1)
+    make(0)
+
+
+def test_numpy_budget_is_stored_as_an_int():
+    # np.int64(2) becomes the int 2, so the indexed tuple scan and the query
+    # loop refuse at the same count, and the counter stays an int.
+    outcomes = []
+    for candidates in ((0, 1, 2, 3), iter((0, 1, 2, 3))):
+        o = IdentityOracle.level1(PrimeModulus(7), 3, budget=np.int64(2))
+        with pytest.raises(QueryBudgetExceeded) as refusal:
+            first_on_line(o, candidates)
+        outcomes.append((o.queries, type(o.queries), str(refusal.value)))
+    assert outcomes == [(2, int, "query budget of 2 exhausted")] * 2
 
 
 @settings(max_examples=100, deadline=None)
