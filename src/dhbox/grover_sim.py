@@ -14,6 +14,15 @@ instead charged as one identity query (s, -1), which must answer 1, so
 the oracle's counter and budget see the quantum queries too.  Norm drift
 is asserted, never corrected: a drifting norm means the simulation is
 wrong.
+
+Amplitudes are held as ``float64``.  The uniform start is real, and
+both the phase flip (a sign change) and the inversion about the mean
+(2 * mean - a, with a real mean) map real vectors to real vectors, so
+the state stays in the real plane spanned by the target and the uniform
+vector (Boyer, Brassard, Hoyer and Tapp, 1998).  A ``complex128`` state
+would carry an imaginary half that is exactly 0 and double the bytes
+every step reads and writes.  The step functions are dtype-generic, so
+a complex state evolves as before.
 """
 
 from __future__ import annotations
@@ -74,7 +83,11 @@ def simulate_search(n_states: int, target: int, iterations: int) -> np.ndarray:
     """Amplitudes after running Grover search from the uniform state.
 
     Works for any N >= 2 and any target, with no oracle attached; the
-    self-test N = 4, k = 1 hits the textbook exact case.
+    self-test N = 4, k = 1 hits the textbook exact case.  The state is
+    ``float64``: every step maps real amplitudes to real ones, so this
+    is a ``complex128`` run's real part up to rounding (numpy sums the
+    mean of a real array in another pairwise order, which moves the
+    last bits).
     """
     if n_states < 2:
         raise ValueError(f"need at least 2 states, got {n_states}")
@@ -82,7 +95,7 @@ def simulate_search(n_states: int, target: int, iterations: int) -> np.ndarray:
         raise ValueError(f"{n_states} states exceed the memory guard {MAX_STATES}")
     if not 0 <= target < n_states:
         raise ValueError(f"target {target} outside [0, {n_states})")
-    amplitudes = np.full(n_states, 1.0 / math.sqrt(n_states), dtype=np.complex128)
+    amplitudes = np.full(n_states, 1.0 / math.sqrt(n_states), dtype=np.float64)
     _check_norm(amplitudes)
     for _ in range(iterations):
         _step_in_place(amplitudes, target)
@@ -131,7 +144,7 @@ def grover_search(oracle, iterations: Optional[int] = None, rng=None) -> GroverR
         if first_on_line(oracle, (target,)) is None:
             raise DishonestOracleError(f"oracle rejects its escrowed secret {target}")
     amplitudes = simulate_search(p, target, k)
-    probs = np.abs(amplitudes) ** 2
+    probs = np.square(amplitudes)
     if rng is None:
         rng = np.random.default_rng()
     measured = int(rng.choice(p, p=probs / probs.sum()))

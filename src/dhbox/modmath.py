@@ -7,13 +7,15 @@ polynomials of degree at most two.  Hot loops elsewhere use the private
 ``_*_int`` helpers, which work on plain integers; the public surface
 wraps them in small value types.
 
-Every square root goes through one kernel, ``_sqrt_int``: one
-exponentiation, then the discrete log in the 2-Sylow subgroup of F_p^*
-read in 8-bit digits from a per-prime table (Bernstein, "Faster square
-roots in annoying finite fields", 2001).  The table depends on p alone:
-it is built on the first root modulo a prime and kept in a bounded cache
-keyed by p, so importing the module or constructing a ``PrimeModulus``
-builds nothing, and roots take no other input than the value and p.
+Every square root goes through one kernel, ``_sqrt_int``.  For
+p = 3 (mod 4) it is one power, a**((p + 1) / 4), checked by squaring.
+Otherwise it is one exponentiation, then the discrete log in the 2-Sylow
+subgroup of F_p^* read in 8-bit digits from a per-prime table
+(Bernstein, "Faster square roots in annoying finite fields", 2001).  The
+table depends on p alone: it is built on the first root modulo a prime
+p = 1 (mod 4) and kept in a bounded cache keyed by p, so importing the
+module or constructing a ``PrimeModulus`` builds nothing, and roots take
+no other input than the value and p.
 """
 
 from __future__ import annotations
@@ -243,7 +245,8 @@ def _sylow2(p: int) -> tuple:
     - (offset, row) for each digit of e / 2;
     - the digit mask 2**w - 1.
 
-    Built on the first root modulo p and cached by p, so each prime has
+    Built on the first root modulo p and cached by p (roots modulo
+    p = 3 (mod 4) need no table and never call this), so each prime has
     one table whichever public function takes the root.  At
     p - 1 = 27 * 2**56 it is the table and 7 rows, about 100 KiB.  A plain
     tuple: a NamedTuple class would add to the module's import time.
@@ -293,7 +296,9 @@ def _sylow2(p: int) -> tuple:
 def _sqrt_int(a: int, p: int) -> Optional[Tuple[int, int]]:
     """Both square roots of a modulo p as an ordered pair, or None.
 
-    Returns (0, 0) for a = 0 and None when a is a non-residue.  With
+    Returns (0, 0) for a = 0 and None when a is a non-residue.  For
+    p = 3 (mod 4) the root is r = a**((p + 1) / 4), since r**2 = a times
+    the Legendre symbol of a; no table is built.  Otherwise, with
     p - 1 = q * 2**s, one exponentiation gives b = a**((q - 1) / 2), the
     candidate r = a*b and t = a*b**2 = a**q in the 2-Sylow subgroup.  The
     discrete log e of t to the base c = z**q is read from the squaring
@@ -306,6 +311,11 @@ def _sqrt_int(a: int, p: int) -> Optional[Tuple[int, int]]:
     a %= p
     if a == 0:
         return (0, 0)
+    if p & 3 == 3:
+        r = pow(a, (p + 1) >> 2, p)
+        if r * r % p != a:
+            return None
+        return (r, p - r) if r <= p - r else (p - r, r)
     half_q, lifts, log, steps, halves, mask = _sylow2(p)
     b = pow(a, half_q, p)
     r = a * b % p

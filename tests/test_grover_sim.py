@@ -53,12 +53,12 @@ def test_norm_preserved_along_run():
 
 def test_in_place_steps_match_copying_reference():
     for p, target, k in ((4, 2, 1), (101, 0, 9), (1009, 17, 24), (65537, 65536, 5)):
-        ref = np.full(p, 1 / math.sqrt(p), dtype=np.complex128)
+        ref = np.full(p, 1 / math.sqrt(p), dtype=np.float64)
         for _ in range(k):
             ref = _step(ref, target)
         assert np.array_equal(simulate_search(p, target, k), ref)
     for p in (3, 101, 1009):
-        amp = np.full(p, 1 / math.sqrt(p), dtype=np.complex128)
+        amp = np.full(p, 1 / math.sqrt(p), dtype=np.float64)
         k = 0
         while abs(amp[0]) ** 2 < 2 / 3:
             amp = _step(amp, 0)
@@ -71,6 +71,45 @@ def test_norm_checked_after_in_place_step():
     amp = np.full(8, 0.5, dtype=np.complex128)  # norm sqrt(2)
     with pytest.raises(NormDriftError):
         _step_in_place(amp, 0)
+
+
+def test_norm_checked_after_in_place_step_on_real_state():
+    amp = np.full(8, 0.5)  # float64, the simulator's dtype; norm sqrt(2)
+    with pytest.raises(NormDriftError):
+        _step_in_place(amp, 0)
+
+
+def _complex_reference(p, target, k):
+    amp = np.full(p, 1 / math.sqrt(p), dtype=np.complex128)
+    for _ in range(k):
+        amp = _step(amp, target)
+    return amp
+
+
+def test_real_state_matches_complex_reference():
+    # Both steps map real vectors to real vectors: the complex reference
+    # keeps an imaginary part of exactly 0, and the real state equals its
+    # real part up to the order in which numpy sums the mean.
+    for p, target, k in ((101, 0, 9), (1009, 17, 24), (65537, 65536, 5)):
+        ref = _complex_reference(p, target, k)
+        amp = simulate_search(p, target, k)
+        assert amp.dtype == np.float64
+        assert not ref.imag.any()
+        assert np.max(np.abs(amp - ref.real)) <= 1e-15
+
+
+def test_seeded_search_matches_complex_reference():
+    # Sampling the complex reference's distribution with the same seed
+    # measures the same outcome, after the same iteration count.
+    for p in (101, 1009, 10007):
+        pm = PrimeModulus(p)
+        for seed in range(40):
+            target = (seed * 7919) % p
+            run = grover_search(IdentityOracle.level1(pm, target), rng=np.random.default_rng(seed))
+            k = optimal_iterations(p)
+            probs = np.abs(_complex_reference(p, target, k)) ** 2
+            measured = int(np.random.default_rng(seed).choice(p, p=probs / probs.sum()))
+            assert (run.measured_outcome, run.iterations) == (measured, k), (p, seed)
 
 
 def test_query_accounting_and_determinism():

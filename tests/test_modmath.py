@@ -360,6 +360,17 @@ def test_find_nonresidue_is_the_kernels_smallest():
         assert z == next(c for c in range(2, p) if _legendre_int(c, p) == -1)
 
 
+@pytest.mark.parametrize("p", [3, 7, 103, 65539, M61])
+def test_sqrt_three_mod_four_builds_no_table(p):
+    # p = 3 (mod 4): one power a**((p + 1) / 4), checked by squaring; the
+    # pair is the reference's and no 2-Sylow table is built.
+    assert p % 4 == 3
+    _sylow2.cache_clear()
+    for a in list(range(min(p, 200))) + [p - 1, p - 4, 2**40 + 7]:
+        assert _sqrt_int(a, p) == tonelli_shanks(a, p), (a, p)
+    assert _sylow2.cache_info().currsize == 0
+
+
 def test_sqrt_kernel_cache_is_bounded():
     maxsize = _sylow2.cache_info().maxsize
     assert maxsize is not None
