@@ -1,4 +1,4 @@
-"""The level-2 lower-bound machinery, computed exhaustively at small p.
+"""The level-2 lower-bound machinery, computed exactly at small p.
 
 At level 2 the DDH input ((1,0,0), (0,1,0), (0,0,1), (0,1,1)) splits the
 p^2 candidate hidden vectors into p-1 positive ones (the input is a
@@ -8,9 +8,10 @@ oracle answers differ at h, and the worst-case ratio of full row sums to
 h-restricted row sums lower-bounds the number of queries any randomized
 (or, with square roots, quantum) algorithm must spend.
 
-The two counting facts doing the real work, verified here by brute
-force: a query hyperplane contains at most 2 positive vectors, and at
-most p vectors in total.
+The two counting facts doing the real work, observed here over every
+query class: a query hyperplane contains at most 2 positive vectors (the
+positives form a conic, which a hyperplane meets in the roots of a
+quadratic), and at most p vectors in total.
 """
 
 from fractions import Fraction

@@ -1,4 +1,4 @@
-"""Exhaustive weighted-adversary quantities for level-2 DDH at small p.
+"""Exact weighted-adversary quantities for level-2 DDH.
 
 The fixed input is the quadruple ((1,0,0), (0,1,0), (0,0,1), (0,1,1)),
 whose first element generates the group under every hidden vector
@@ -11,12 +11,17 @@ the randomized and quantum query complexity.
 
 Row sums of the restricted matrix depend only on h, the polarity of the
 row vector and its oracle answer at h, so the search over all admissible
-(n, n', h) collapses to one pass over h with four counts per h:
-positives/negatives on and off the hyperplane of h.  Counting and
-minimization are vectorized; the minimum is found by exact integer
-comparisons, so reported values never owe anything to float rounding.
-The reduction is a plain minimum, hence insensitive to any chunking or
-parallel split of the h range.
+(n, n', h) collapses to four counts per h: positives/negatives on and off
+the hyperplane of h.  Those counts are the same for h and every nonzero
+multiple of h, so only the p^2 + p + 1 projective classes are counted,
+each by its lexicographically first member (leading coordinate 1).  In
+x = n_1 - 1 the positives are the conic x * (n_2 - 1) = 1 with x != 0,
+so the positives on a hyperplane are the nonzero roots of a quadratic,
+read from a table of the squares mod p.  Counting and minimization are
+vectorized; the minimum is found by exact integer comparisons, so
+reported values never owe anything to float rounding.  The reduction is
+a plain minimum, hence insensitive to any chunking or parallel split of
+the classes.
 """
 
 from __future__ import annotations
@@ -114,40 +119,40 @@ def sigma_gamma_h(p: int, vec: ClassifiedVector, h: Tuple[int, int, int]) -> int
     return count
 
 
-def build_gamma(p: int) -> np.ndarray:
-    """The adversary matrix materialized explicitly (reference, small p).
+def _class_counts(p: int):
+    """Per-query counts over the p^2 + p + 1 projective query classes.
 
-    Rows and columns are indexed by n1 * p + n2.
+    Each class is given by its lexicographically first member, the one
+    whose leading nonzero coordinate is 1: (0,0,1), then (0,1,x), then
+    (1,a,b).  These members come in lexicographic order too, so the
+    first minimum over classes is the first minimum over all h.
+
+    Returns the class coordinates and flat arrays of the number of
+    positive vectors on the hyperplane of h, the number of negative
+    ones, and their complements off the hyperplane.  The positives are
+    n1 = 1 + x, n2 = 1 + 1/x for x != 0, so with S = h0 + h1 + h2 those
+    on the hyperplane are the nonzero roots x of h1 x^2 + S x + h2: by
+    the discriminant when h1 != 0 (less the root x = 0 when h2 = 0),
+    else one root when h2 != 0 and S = h0 + h2 != 0.
     """
-    pos = np.array(
-        [is_positive(p, n1, n2) for n1 in range(p) for n2 in range(p)],
-        dtype=bool,
-    )
-    return (pos[:, None] ^ pos[None, :]).astype(np.int64)
-
-
-def _hyperplane_counts(p: int):
-    """Per-query counts over all h in Z_p^3.
-
-    Returns flat arrays (indexed by h0*p^2 + h1*p + h2) of the number of
-    positive vectors on the hyperplane of h, the number of negative ones,
-    and their complements off the hyperplane.
-    """
-    idx = np.arange(p**3, dtype=np.int64)
-    h0 = idx // (p * p)
-    h1 = (idx // p) % p
-    h2 = idx % p
-    pos_on = np.zeros(p**3, dtype=np.int64)
-    for m1, m2 in positive_pairs(p):
-        pos_on += (h0 + h1 * m1 + h2 * m2) % p == 0
-    # Points on a hyperplane: p when (h1, h2) != 0, else p^2 or none.
-    total_on = np.where(
-        (h1 != 0) | (h2 != 0), p, np.where(h0 == 0, p * p, 0)
+    rest = np.arange(p * p, dtype=np.int64)
+    h0 = np.concatenate((np.zeros(p + 1, dtype=np.int64), np.ones(p * p, dtype=np.int64)))
+    h1 = np.concatenate(([0], np.ones(p, dtype=np.int64), rest // p))
+    h2 = np.concatenate(([1], np.arange(p, dtype=np.int64), rest % p))
+    square = np.zeros(p, dtype=bool)
+    square[np.arange(p, dtype=np.int64) ** 2 % p] = True
+    s = (h0 + h1 + h2) % p
+    disc = (s * s - 4 * h1 * h2) % p
+    roots = np.where(disc == 0, 1, 2 * square[disc])
+    pos_on = np.where(
+        h1 != 0, roots - (h2 == 0), (h2 != 0) & ((h0 + h2) % p != 0)
     ).astype(np.int64)
+    # Points on a hyperplane: p when (h1, h2) != 0; only h = (1,0,0) has none.
+    total_on = np.where((h1 != 0) | (h2 != 0), p, 0)
     neg_on = total_on - pos_on
     n_pos = p - 1
     n_neg = p * p - p + 1
-    return pos_on, neg_on, n_pos - pos_on, n_neg - neg_on
+    return (h0, h1, h2), pos_on, neg_on, n_pos - pos_on, n_neg - neg_on
 
 
 def case_count_extremes(p: int):
@@ -160,7 +165,8 @@ def case_count_extremes(p: int):
     hyperplane (at most p: a nonzero linear equation).  Returns the
     observed maxima of the two counts.
     """
-    pos_on, neg_on, pos_off, neg_off = _hyperplane_counts(p)
+    PrimeModulus(p)
+    _, pos_on, neg_on, pos_off, neg_off = _class_counts(p)
     # Pair kind (positive answers 1, negative answers 0): needs both sides.
     kind_a = (pos_on >= 1) & (neg_off >= 1)
     # Pair kind (positive answers 0, negative answers 1).
@@ -226,12 +232,25 @@ class AdversaryReport:
 
 
 def _first_vector(p: int, positive: bool, h: Tuple[int, int, int], answer: int) -> Tuple[int, int, int]:
-    """Lexicographically first vector of given polarity and answer at h."""
+    """Lexicographically first vector of given polarity and answer at h.
+
+    O(p): column n1 holds one positive, n2 = n1 / (n1 - 1) (none at
+    n1 = 1), and meets the hyperplane h0 + h1 n1 + h2 n2 = 0 in one n2
+    when h2 != 0, else in the whole column or not at all.  So a negative
+    on the hyperplane with h2 != 0 can only be that one n2, and any other
+    negative sought is among n2 = 0, 1, 2, of which at most two are
+    excluded.
+    """
+    h0, h1, h2 = h
     for n1 in range(p):
-        for n2 in range(p):
-            if is_positive(p, n1, n2) != positive:
-                continue
-            if identity_value(p, n1, n2, h) == answer:
+        if positive:
+            column = () if n1 == 1 else (n1 * pow(n1 - 1, -1, p) % p,)
+        elif answer and h2 % p:
+            column = (-(h0 + h1 * n1) * pow(h2, -1, p) % p,)
+        else:
+            column = (0, 1, 2)
+        for n2 in column:
+            if is_positive(p, n1, n2) == positive and identity_value(p, n1, n2, h) == answer:
                 return (1, n1, n2)
     raise AssertionError("no vector matches an admissible kind")
 
@@ -257,25 +276,26 @@ def _first_min(num: np.ndarray, den: np.ndarray) -> int:
 
 
 def adversary_bounds(p: int, force: bool = False) -> AdversaryReport:
-    """Exact worst-case adversary ratios by full enumeration over queries.
+    """Exact worst-case adversary ratios, minimized over every query.
 
     For every query h and each of the two admissible answer patterns, the
     randomized candidate is max of the two row-sum ratios and the quantum
     candidate is the product ratio; both are minimized over all h, with
     lexicographically first witnesses.
 
-    The p^3 queries are counted by ``_hyperplane_counts`` and the
-    candidates compared as int64 arrays by cross-multiplication, which is
-    exact while p^4 < 2^63 (far beyond what the counting can hold in
-    memory); only the two minima become ``Fraction``s.  The guard rejects
-    p beyond 31 unless ``force`` is set.
+    The p^2 + p + 1 projective query classes are counted by
+    ``_class_counts`` (O(p^2) time and memory) and the candidates
+    compared as int64 arrays by cross-multiplication, which is exact
+    while p^4 < 2^63 (far beyond what the counting can hold in memory);
+    only the two minima become ``Fraction``s.  The guard rejects p beyond
+    31 unless ``force`` is set.
     """
     check_enumeration_guard(p, force)
-    pos_on, neg_on, pos_off, neg_off = _hyperplane_counts(p)
+    (h0, h1, h2), pos_on, neg_on, pos_off, neg_off = _class_counts(p)
     sp = p * p - p + 1  # row sum at a positive vector
     sn = p - 1  # row sum at a negative vector
 
-    # Candidate j = 2*i + kind for query i: kind A (j even) has the positive
+    # Candidate j = 2*i + kind for class i: kind A (j even) has the positive
     # row answer 1 and the negative row 0; kind B (j odd) the reverse.  This
     # is the order of a loop over h trying A before B, so the first minimum
     # below is the loop's first strict minimum.
@@ -296,7 +316,7 @@ def adversary_bounds(p: int, force: bool = False) -> AdversaryReport:
 
     def witness(c: int) -> Witness:
         i, kind = divmod(int(admissible[c]), 2)
-        h = (i // (p * p), (i // p) % p, i % p)
+        h = (int(h0[i]), int(h1[i]), int(h2[i]))
         pos_answer = 1 - kind
         n = _first_vector(p, True, h, pos_answer)
         n_prime = _first_vector(p, False, h, 1 - pos_answer)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -7,10 +8,10 @@ import pytest
 
 from dhbox.adversary import (
     ClassifiedVector,
+    _class_counts,
     _first_min,
-    _hyperplane_counts,
+    _first_vector,
     adversary_bounds,
-    build_gamma,
     case_count_extremes,
     classify,
     identity_value,
@@ -20,6 +21,57 @@ from dhbox.adversary import (
     sigma_gamma_h,
 )
 from dhbox.modmath import is_prime
+
+
+def build_gamma(p):
+    """The adversary matrix materialized explicitly (reference, small p).
+
+    Rows and columns are indexed by n1 * p + n2.
+    """
+    pos = np.array(
+        [is_positive(p, n1, n2) for n1 in range(p) for n2 in range(p)],
+        dtype=bool,
+    )
+    return (pos[:, None] ^ pos[None, :]).astype(np.int64)
+
+
+def _hyperplane_counts(p):
+    """Reference per-query counts over all h in Z_p^3: one pass over the
+    p^3 queries per positive pair.
+
+    Returns flat arrays (indexed by h0*p^2 + h1*p + h2) of the number of
+    positive vectors on the hyperplane of h, the number of negative ones,
+    and their complements off the hyperplane.
+    """
+    idx = np.arange(p**3, dtype=np.int64)
+    h0 = idx // (p * p)
+    h1 = (idx // p) % p
+    h2 = idx % p
+    pos_on = np.zeros(p**3, dtype=np.int64)
+    for m1, m2 in positive_pairs(p):
+        pos_on += (h0 + h1 * m1 + h2 * m2) % p == 0
+    # Points on a hyperplane: p when (h1, h2) != 0, else p^2 or none.
+    total_on = np.where(
+        (h1 != 0) | (h2 != 0), p, np.where(h0 == 0, p * p, 0)
+    ).astype(np.int64)
+    neg_on = total_on - pos_on
+    n_pos = p - 1
+    n_neg = p * p - p + 1
+    return pos_on, neg_on, n_pos - pos_on, n_neg - neg_on
+
+
+def reference_first_vector(p, positive, h, answer):
+    """Reference witness search: the p^2 scan in lexicographic order."""
+    for n1 in range(p):
+        for n2 in range(p):
+            if is_positive(p, n1, n2) != positive:
+                continue
+            if identity_value(p, n1, n2, h) == answer:
+                return (1, n1, n2)
+    raise AssertionError("no vector matches an admissible kind")
+
+
+PRIMES_TO_61 = [q for q in range(3, 62) if is_prime(q)]
 
 
 def brute_force_minima(p):
@@ -137,6 +189,48 @@ def test_sigma_gamma_h_case_bounds_exhaustive():
         assert c2 <= p
 
 
+def test_class_table_matches_reference_counts():
+    # Every nonzero h, scaled members included, reads the counts of its
+    # class representative: leading nonzero coordinate scaled to 1.
+    for p in PRIMES_TO_61:
+        classes, *table = _class_counts(p)
+        assert len(classes[0]) == p * p + p + 1
+        reference = _hyperplane_counts(p)
+        idx = np.arange(1, p**3, dtype=np.int64)
+        h = np.stack([idx // (p * p), (idx // p) % p, idx % p])
+        lead = np.where(h[0] != 0, h[0], np.where(h[1] != 0, h[1], h[2]))
+        inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+        rep = h * inverse[lead] % p
+        cls = np.where(rep[0] == 1, p + 1 + rep[1] * p + rep[2], np.where(rep[1] == 1, 1 + rep[2], 0))
+        assert (np.stack(classes)[:, cls] == rep).all()
+        for got, ref in zip(table, reference):
+            assert (got[cls] == ref[idx]).all()
+
+
+def test_case_count_extremes_matches_reference():
+    for p in PRIMES_TO_61:
+        pos_on, neg_on, pos_off, neg_off = _hyperplane_counts(p)
+        kind_a = (pos_on >= 1) & (neg_off >= 1)
+        kind_b = (pos_off >= 1) & (neg_on >= 1)
+        assert case_count_extremes(p) == (int(pos_on[kind_a].max()), int(neg_on[kind_b].max()))
+
+
+def test_first_vector_matches_reference_scan():
+    # Every h, both polarities and both answers, including the ones no
+    # vector realizes (h = 0 answering 0, (1,0,0) answering 1).
+    for p in (3, 5, 7, 11, 13):
+        for h in product(range(p), repeat=3):
+            for positive in (True, False):
+                for answer in (0, 1):
+                    try:
+                        expected = reference_first_vector(p, positive, h, answer)
+                    except AssertionError:
+                        with pytest.raises(AssertionError):
+                            _first_vector(p, positive, h, answer)
+                    else:
+                        assert _first_vector(p, positive, h, answer) == expected
+
+
 def test_sigma_gamma_h_direct_spot_checks():
     p = 5
     vecs = {(v.n1, v.n2): v for v in classify(p)}
@@ -247,14 +341,26 @@ def test_first_min_is_exact():
     assert _first_min(np.array([5, big + 1, 7, big]), np.array([1, 1, 1, 1])) == 0
 
 
-def test_adversary_closed_forms_up_to_61():
-    for p in (q for q in range(5, 62) if is_prime(q)):
+def test_adversary_closed_forms_below_250_and_at_1009():
+    for p in [q for q in range(5, 250) if is_prime(q)] + [1009]:
         rep = adversary_bounds(p, force=True)
         assert rep.worst_ratio_randomized == Fraction(p - 1, 2)
         assert rep.worst_ratio_quantum_squared == Fraction(
             (p * p - p + 1) * (p - 1), 2 * (p * p - 2 * p + 3)
         )
         assert rep.witness_randomized.h == rep.witness_quantum.h == (0, 1, 2)
+
+
+def test_adversary_memory_is_quadratic():
+    # The p^3 count arrays took 162 MB at p = 101; the class table needs
+    # about 2 MB.
+    tracemalloc.start()
+    try:
+        adversary_bounds(101, force=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_enumeration_guard():

@@ -49,6 +49,8 @@ GOLDEN = {
     "adversary --p 5": (0, "bee08612fbef23ea01f7faafb2b9f9de917aff85742871442a8bed36b76a6b6b"),
     "adversary --p 7 --out out.json": (0, "49e7451b1f65028063a6cb28653bbd459f1ccd845c6a724f2608c5763feee652"),
     "adversary --p 37": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "adversary --p 31 --force": (0, "a2b819d27f09be272553214edb6c631010ae650a1c22e7095f412b046f9e51d5"),
+    "adversary --p 101 --force --out out.json": (0, "0575e852f23b46d5189c8766b6105f00e28916bb9af4fbde42bdc4d99136e248"),
     "scaling --p 11,13 --trials 100 --seed 2": (0, "a46019df39bd9cf43ef06d367be08fa157384c90e85f808c2c24196ddc1f2889"),
     "scaling --p 11,13 --trials 100 --seed 2 --format json": (0, "65d68e2990bb591bdc662556c0d4bc1762e62cd74394700cbb8da3bd735af8d2"),
     "scaling --p 11,13 --trials 100 --seed 2 --out out.csv": (0, "0c296e9e1d67a61c9020bc8069cc31e163225edc5c52723b3124fe83e42c1e8b"),
