@@ -18,10 +18,11 @@ each by its lexicographically first member (leading coordinate 1).  In
 x = n_1 - 1 the positives are the conic x * (n_2 - 1) = 1 with x != 0,
 so the positives on a hyperplane are the nonzero roots of a quadratic,
 read from a table of the squares mod p.  Counting and minimization are
-vectorized; the minimum is found by exact integer comparisons, so
-reported values never owe anything to float rounding.  The reduction is
-a plain minimum, hence insensitive to any chunking or parallel split of
-the classes.
+vectorized.  Each ratio is a constant over an integer key below p^3, so
+its minimum is the first maximum of an int64 array and reported values
+never owe anything to float rounding.  The reduction is a plain
+maximum, hence insensitive to any chunking or parallel split of the
+classes.
 """
 
 from __future__ import annotations
@@ -155,6 +156,27 @@ def _class_counts(p: int):
     return (h0, h1, h2), pos_on, neg_on, n_pos - pos_on, n_neg - neg_on
 
 
+def _admissible_pairs(p: int):
+    """The admissible (a, b) row-sum pairs over all query classes.
+
+    Candidate j = 2*i + kind for class i: kind A (j even) has the
+    positive row answer 1 and the negative row 0; kind B (j odd) the
+    reverse.  a is the row sum at the positive vector (the negatives
+    answering otherwise) and b the one at the negative vector; a
+    candidate is admissible when both are at least 1, that is when both
+    rows exist.  This is the order of a loop over h trying A before B, so
+    a first maximum over the candidates is that loop's first extremum.
+
+    Returns the class coordinates, the admissible candidate indices j
+    and the int64 arrays a and b at those indices.
+    """
+    h, pos_on, neg_on, pos_off, neg_off = _class_counts(p)
+    sig_n = np.stack([neg_off, neg_on], axis=1).ravel()
+    sig_np = np.stack([pos_on, pos_off], axis=1).ravel()
+    admissible = np.flatnonzero((sig_n >= 1) & (sig_np >= 1))
+    return h, admissible, sig_n[admissible], sig_np[admissible]
+
+
 def case_count_extremes(p: int):
     """Largest restricted row sums over all admissible (n, n', h).
 
@@ -163,17 +185,12 @@ def case_count_extremes(p: int):
     they are roots of a nonzero quadratic), and the positive side
     answering 0 has row sum equal to the number of negatives on the
     hyperplane (at most p: a nonzero linear equation).  Returns the
-    observed maxima of the two counts.
+    observed maxima of the two counts: b over kind A, a over kind B.
     """
     PrimeModulus(p)
-    _, pos_on, neg_on, pos_off, neg_off = _class_counts(p)
-    # Pair kind (positive answers 1, negative answers 0): needs both sides.
-    kind_a = (pos_on >= 1) & (neg_off >= 1)
-    # Pair kind (positive answers 0, negative answers 1).
-    kind_b = (pos_off >= 1) & (neg_on >= 1)
-    max_case1 = int(pos_on[kind_a].max()) if kind_a.any() else 0
-    max_case2 = int(neg_on[kind_b].max()) if kind_b.any() else 0
-    return max_case1, max_case2
+    _, admissible, a, b = _admissible_pairs(p)
+    kind_a = admissible % 2 == 0
+    return int(b[kind_a].max(initial=0)), int(a[~kind_a].max(initial=0))
 
 
 @dataclass(frozen=True)
@@ -255,26 +272,6 @@ def _first_vector(p: int, positive: bool, h: Tuple[int, int, int], answer: int) 
     raise AssertionError("no vector matches an admissible kind")
 
 
-def _first_min(num: np.ndarray, den: np.ndarray) -> int:
-    """Index of the first exact minimum of the fractions num / den.
-
-    Division is correctly rounded and so monotone: the exact minimum is
-    among the candidates whose float equals the float minimum.  Starting
-    from the first of those, step to the first candidate that is
-    exactly smaller (by cross-multiplication; products stay below p^4)
-    until none is.  Every candidate before the one reached is larger.
-    """
-    ratio = num / den
-    tied = np.flatnonzero(ratio == ratio.min())
-    tn, td = num[tied], den[tied]
-    best = 0
-    while True:
-        lower = tn * td[best] < tn[best] * td
-        if not lower.any():
-            return int(tied[best])
-        best = int(np.argmax(lower))
-
-
 def adversary_bounds(p: int, force: bool = False) -> AdversaryReport:
     """Exact worst-case adversary ratios, minimized over every query.
 
@@ -284,35 +281,28 @@ def adversary_bounds(p: int, force: bool = False) -> AdversaryReport:
     lexicographically first witnesses.
 
     The p^2 + p + 1 projective query classes are counted by
-    ``_class_counts`` (O(p^2) time and memory) and the candidates
-    compared as int64 arrays by cross-multiplication, which is exact
-    while p^4 < 2^63 (far beyond what the counting can hold in memory);
-    only the two minima become ``Fraction``s.  The guard rejects p beyond
-    31 unless ``force`` is set.
+    ``_class_counts`` (O(p^2) time and memory).  Each ratio is sp*sn
+    over an int64 key, so its first minimum is the first ``np.argmax``
+    of the key; every key is below p^3, exact far beyond what the
+    counting can hold in memory.  Only the two minima become
+    ``Fraction``s.  The guard rejects p beyond 31 unless ``force`` is set.
     """
     check_enumeration_guard(p, force)
-    (h0, h1, h2), pos_on, neg_on, pos_off, neg_off = _class_counts(p)
+    (h0, h1, h2), admissible, a, b = _admissible_pairs(p)
+    if admissible.size == 0:
+        raise AssertionError("no admissible (n, n', h) found")
     sp = p * p - p + 1  # row sum at a positive vector
     sn = p - 1  # row sum at a negative vector
 
-    # Candidate j = 2*i + kind for class i: kind A (j even) has the positive
-    # row answer 1 and the negative row 0; kind B (j odd) the reverse.  This
-    # is the order of a loop over h trying A before B, so the first minimum
-    # below is the loop's first strict minimum.
-    sig_n = np.stack([neg_off, neg_on], axis=1).ravel()
-    sig_np = np.stack([pos_on, pos_off], axis=1).ravel()
-    admissible = np.flatnonzero((sig_n >= 1) & (sig_np >= 1))
-    if admissible.size == 0:
-        raise AssertionError("no admissible (n, n', h) found")
-    a, b = sig_n[admissible], sig_np[admissible]
-
-    # Randomized: max(sp/a, sn/b), the first ratio when sp*b >= sn*a.
-    first = sp * b >= sn * a
-    r = _first_min(np.where(first, sp, sn), np.where(first, a, b))
-    # Quantum: sp*sn/(a*b) is smallest where the integer a*b is largest.
-    q = int(np.argmax(a * b))
-    best_rand = Fraction(sp, int(a[r])) if first[r] else Fraction(sn, int(b[r]))
-    best_quad = Fraction(sp * sn, int(a[q] * b[q]))
+    # Both ratios are sp*sn over an integer key, smallest where the key is
+    # largest.  Randomized: max(sp/a, sn/b) = sp*sn / min(sn*a, sp*b).
+    # Quantum: sp*sn / (a*b).
+    rand_key = np.minimum(sn * a, sp * b)
+    quad_key = a * b
+    r = int(np.argmax(rand_key))
+    q = int(np.argmax(quad_key))
+    best_rand = Fraction(sp * sn, int(rand_key[r]))
+    best_quad = Fraction(sp * sn, int(quad_key[q]))
 
     def witness(c: int) -> Witness:
         i, kind = divmod(int(admissible[c]), 2)

@@ -338,11 +338,11 @@ class RawOracle(OracleBase):
     :func:`normalize_oracle`: the hidden normal may have any nonzero
     coordinate pattern.
 
-    A line scan is decided by one residue t (``_residue``): a candidate
-    is accepted exactly when it is t mod p.  A range is answered in
-    closed form, an integer buffer by a numpy remainder and a tuple of
-    ints one remainder per item, so no query is formed per candidate;
-    other candidates are scanned query by query.
+    A line scan is decided by one residue t: a candidate is accepted
+    exactly when it is t mod p.  A range is answered in closed form, an
+    integer buffer by a numpy remainder and a tuple of ints one remainder
+    per item, so no query is formed per candidate; other candidates are
+    scanned query by query.
     """
 
     __slots__ = ("_normal",)
@@ -360,14 +360,17 @@ class RawOracle(OracleBase):
             acc += c * nc
         return 1 if acc % self.modulus.p == 0 else 0
 
-    def _residue(self, base: Sequence[int], step: Sequence[int]) -> Optional[int]:
-        """The residue t that decides the scan of the line base + x*step.
+    def _line_index(self, base: Sequence[int], step: Sequence[int], seq) -> Optional[int]:
+        """The line scan of a range in closed form, of a buffer in numpy,
+        of a tuple one remainder per item.
 
         The query base + x*step is accepted exactly when
         c0 + x*c1 = 0 (mod p), with c0 = n.base and c1 = n.step for the
-        hidden normal n.  When c1 != 0 that is x = t (mod p) for
-        t = -c0/c1.  When c1 = 0 no residue decides: every candidate is
-        accepted (``_EVERY``) or none is (None).
+        hidden normal n.  When c1 = 0 every candidate is accepted or none
+        is; otherwise x is accepted exactly when x = t (mod p) for
+        t = -c0/c1.  A range's candidates are start + i*step, so the
+        first accepted i is (t - start)/step mod p, or 0 or none when
+        step = 0 (mod p).
         """
         p = self.modulus.p
         index = operator.index
@@ -377,23 +380,9 @@ class RawOracle(OracleBase):
             c1 += index(s) * nc
         c1 %= p
         if c1 == 0:
-            return _EVERY if c0 % p == 0 else None
+            return 0 if c0 % p == 0 else None
         # c1 = 1 in first_on_line on a normalized oracle: no inverse to take.
-        return -c0 % p if c1 == 1 else -c0 * pow(c1, -1, p) % p
-
-    def _line_index(self, base: Sequence[int], step: Sequence[int], seq) -> Optional[int]:
-        """The line scan of a range in closed form, of a buffer in numpy,
-        of a tuple one remainder per item.
-
-        A range's candidates are start + i*step, so the first accepted i
-        is (t - start)/step mod p, or 0 or none when step = 0 (mod p).
-        """
-        t = self._residue(base, step)
-        if t is None:
-            return None
-        if t == _EVERY:
-            return 0
-        p = self.modulus.p
+        t = -c0 % p if c1 == 1 else -c0 * pow(c1, -1, p) % p
         if isinstance(seq, range):
             s = seq.step % p
             if s == 0:
@@ -519,10 +508,6 @@ def _check_line(oracle, base: Sequence[int], step: Sequence[int]) -> None:
         _check_width(oracle, len(base))
         _check_width(oracle, len(step))
 
-
-# The residue of a scan in which every candidate is accepted; no residue
-# mod p is negative.
-_EVERY = -1
 
 # The native integer formats of a buffer that a scan reads in numpy.
 _INT_FORMATS = frozenset("bBhHiIlLqQ")

@@ -35,6 +35,7 @@ from .algorithms import (
 )
 from .blackbox import Escrow, GroupElement, IdentityOracle, random_element
 from .experiments import (
+    check_trials,
     format_value,
     rows_to_csv,
     run_level2_solution_counts,
@@ -219,6 +220,7 @@ def _cmd_ddh(args) -> int:
 def _cmd_lift(args) -> int:
     p = _single_p(args)
     modulus = PrimeModulus(p)
+    check_trials(args.trials)
     agree = 0
     for t in range(args.trials):
         rng = trial_rng(args.seed, 300, t)

@@ -36,6 +36,12 @@ def trial_rng(seed: int, *labels: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *labels]))
 
 
+def check_trials(trials: int) -> None:
+    """Refuse a trial count below 1: an empty run has no rate to report."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> Tuple[float, float]:
     """Wilson score interval for a binomial proportion at z sigmas."""
     if trials == 0:
@@ -71,6 +77,9 @@ def run_scaling(ps: Sequence[int], trials: int, seed: int) -> List[ScalingRow]:
     hitting time should track (p+1)/2, and the 5% band is asserted as a
     field (meaningful once trials reach 10^4).
     """
+    if not ps:
+        raise ValueError("ps must name at least one prime")
+    check_trials(trials)
     rows = []
     for p in ps:
         modulus = PrimeModulus(p)
@@ -134,6 +143,7 @@ def run_reduction_success(p: int, trials: int, seed: int) -> List[ReductionRow]:
     not exclude the bound from above.
     """
     modulus = PrimeModulus(p)
+    check_trials(trials)
     escrow = Escrow()
     rows = []
     for tag, name, bound in ((1, "dlog-random", (p - 1) / p), (2, "cdh-random", (p - 2) / p)):
@@ -350,6 +360,7 @@ def run_level2_solution_counts(p: int, trials: int, seed: int, force: bool = Fal
     unless ``force`` is set.
     """
     check_enumeration_guard(p, force)
+    check_trials(trials)
     bad = 0
     bad_samples: List[SolutionCountSample] = []
     for t in range(trials):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence
 
@@ -79,6 +80,14 @@ def _step_in_place(amplitudes: np.ndarray, target: int) -> None:
     _check_norm(amplitudes)
 
 
+def _iteration_count(iterations) -> int:
+    """An exact iteration count, refused when negative."""
+    k = operator.index(iterations)
+    if k < 0:
+        raise ValueError(f"iterations must be non-negative, got {k}")
+    return k
+
+
 def simulate_search(n_states: int, target: int, iterations: int) -> np.ndarray:
     """Amplitudes after running Grover search from the uniform state.
 
@@ -95,6 +104,7 @@ def simulate_search(n_states: int, target: int, iterations: int) -> np.ndarray:
         raise ValueError(f"{n_states} states exceed the memory guard {MAX_STATES}")
     if not 0 <= target < n_states:
         raise ValueError(f"target {target} outside [0, {n_states})")
+    iterations = _iteration_count(iterations)
     amplitudes = np.full(n_states, 1.0 / math.sqrt(n_states), dtype=np.float64)
     _check_norm(amplitudes)
     for _ in range(iterations):
@@ -123,10 +133,11 @@ class GroverRun:
 def grover_search(oracle, iterations: Optional[int] = None, rng=None) -> GroverRun:
     """Search for the secret of a level-1 identity oracle.
 
-    The number of iterations defaults to the optimal choice; each
-    iteration applies the phase oracle once and is charged as one query
-    on ``oracle``, so the reported query count equals the iteration
-    count and a budget below it raises ``QueryBudgetExceeded``.
+    The number of iterations defaults to the optimal choice, and a
+    negative one is refused before any query; each iteration applies the
+    phase oracle once and is charged as one query on ``oracle``, so the
+    reported query count equals the iteration count and a budget below
+    it raises ``QueryBudgetExceeded``.
     Measurement samples the final distribution with ``rng`` (fixed rng
     implies a fixed outcome).
     """
@@ -136,7 +147,7 @@ def grover_search(oracle, iterations: Optional[int] = None, rng=None) -> GroverR
     if p > MAX_STATES:
         raise ValueError(f"p = {p} exceeds the memory guard {MAX_STATES}")
     target = oracle.reveal_hidden(Escrow()).coords[1]
-    k = optimal_iterations(p) if iterations is None else iterations
+    k = optimal_iterations(p) if iterations is None else _iteration_count(iterations)
     # Charge the k phase-oracle applications before the state is built,
     # so a budget below k allocates nothing.  Each asks about the escrowed
     # target, which must lie on the oracle's hidden line.

@@ -9,7 +9,6 @@ import pytest
 from dhbox.adversary import (
     ClassifiedVector,
     _class_counts,
-    _first_min,
     _first_vector,
     adversary_bounds,
     case_count_extremes,
@@ -321,7 +320,7 @@ def rational_loop_minima(p):
 def test_adversary_minimum_matches_rational_loop():
     # The vectorised exact minimum picks the same values and the same
     # first witnesses as the loop over h in exact rationals.
-    for p in (3, 5, 7, 11, 13, 17, 19):
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         rep = adversary_bounds(p)
         ref_r, ref_q = rational_loop_minima(p)
         for (value, h, a, b), got, wit in (
@@ -332,13 +331,15 @@ def test_adversary_minimum_matches_rational_loop():
             assert (wit.h, wit.sigma_h_n, wit.sigma_h_n_prime) == (h, a, b)
 
 
-def test_first_min_is_exact():
-    # 10^16 + 1 and 10^16 round to the same float; only the exact
-    # comparison finds the smaller one.
-    big = 10**16
-    assert _first_min(np.array([big + 1, big]), np.array([1, 1])) == 1
-    assert _first_min(np.array([3, 2, 1, 2]), np.array([4, 4, 2, 4])) == 1
-    assert _first_min(np.array([5, big + 1, 7, big]), np.array([1, 1, 1, 1])) == 0
+def test_randomized_key_identity():
+    # The randomized minimum is the first maximum of min(sn*a, sp*b): the
+    # identity max(sp/a, sn/b) = sp*sn / min(sn*a, sp*b), at every row-sum
+    # pair a <= sp, b <= sn.
+    for p in (3, 5, 7, 11, 13):
+        sp, sn = p * p - p + 1, p - 1
+        for a in range(1, sp + 1):
+            for b in range(1, sn + 1):
+                assert max(Fraction(sp, a), Fraction(sn, b)) == Fraction(sp * sn, min(sn * a, sp * b))
 
 
 def test_adversary_closed_forms_below_250_and_at_1009():

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dhbox.cli import main
 
 
@@ -81,6 +83,26 @@ def test_grover_subcommand(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["p"] == 101
     assert payload["oracle_queries"] == payload["iterations"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["grover", "--p", "101", "--seed", "1", "--iterations", "-3"], "iterations must be non-negative"),
+        (["scaling", "--p", "11", "--trials", "0"], "trials must be at least 1"),
+        (["reductions", "--p", "11", "--trials", "0"], "trials must be at least 1"),
+        (["level2-counts", "--p", "11", "--trials", "0"], "trials must be at least 1"),
+        (["lift", "--p", "7", "--trials", "-1"], "trials must be at least 1"),
+        (["scaling", "--p", ","], "at least one prime"),
+    ],
+)
+def test_empty_runs_exit_1(argv, message, capsys):
+    # Each used to divide by zero, print an empty or negative run, or exit 0.
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "division by zero" not in captured.err
 
 
 def test_scaling_subcommand_csv(tmp_path):

@@ -288,6 +288,18 @@ def test_level2_guard():
         assert sample.solution_count == 61
 
 
+def test_empty_runs_refused():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_scaling([11], trials, seed=0)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_reduction_success(11, trials, seed=0)
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            run_level2_solution_counts(11, trials, seed=0)
+    with pytest.raises(ValueError, match="at least one prime"):
+        run_scaling([], 10, seed=0)
+
+
 def test_format_value():
     assert format_value(True) == "true"
     assert format_value(False) == "false"

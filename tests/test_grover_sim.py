@@ -188,6 +188,23 @@ def test_guards():
         grover_search(random_identity_oracle(pm, 2, np.random.default_rng(0)))
 
 
+def test_negative_iterations_refused_uncharged():
+    # A negative count used to run as 0 steps and report itself as the
+    # query count; now it is refused before any query is charged.
+    oracle = IdentityOracle.level1(PrimeModulus(101), 5)
+    with pytest.raises(ValueError, match="iterations"):
+        grover_search(oracle, iterations=-3)
+    assert oracle.queries == 0
+    with pytest.raises(ValueError, match="iterations"):
+        simulate_search(8, 0, -1)
+    with pytest.raises(TypeError):
+        grover_search(oracle, iterations=2.0)
+    # A numpy integer is taken as the exact int it holds.
+    run = grover_search(oracle, iterations=np.int64(3), rng=np.random.default_rng(0))
+    assert type(run.iterations) is int and run.iterations == run.oracle_queries == 3
+    assert oracle.queries == 3
+
+
 def test_run_json_line():
     import json
 
