@@ -326,8 +326,10 @@ class OracleBase:
         normal = self.reveal_normal(escrow)
         if normal[0] == 0:
             raise ValueError("hidden normal has leading coordinate 0; normalize the oracle first")
-        scale = pow(normal[0], -1, self.modulus.p)
-        return NormalVector([c * scale for c in normal], self.modulus)
+        if normal[0] != 1:
+            scale = pow(normal[0], -1, self.modulus.p)
+            normal = [c * scale for c in normal]
+        return NormalVector(normal, self.modulus)
 
 
 class RawOracle(OracleBase):
@@ -415,7 +417,10 @@ class IdentityOracle(RawOracle):
     __slots__ = ()
 
     def __init__(self, hidden: NormalVector, budget: Optional[int] = None):
-        super().__init__(hidden.coords, hidden.modulus, budget)
+        # A NormalVector's coordinates are already canonical and lead with
+        # 1: nothing is left for RawOracle.__init__ to reduce or refuse.
+        OracleBase.__init__(self, hidden.modulus, hidden.level, budget)
+        self._normal = hidden.coords
 
     @classmethod
     def level1(cls, modulus: PrimeModulus, secret: int, budget: Optional[int] = None) -> "IdentityOracle":

@@ -79,6 +79,8 @@ def run_scaling(ps: Sequence[int], trials: int, seed: int) -> List[ScalingRow]:
     """
     if not ps:
         raise ValueError("ps must name at least one prime")
+    if len(set(ps)) != len(ps):
+        raise ValueError(f"ps must not repeat a prime, got {list(ps)}")
     check_trials(trials)
     rows = []
     for p in ps:

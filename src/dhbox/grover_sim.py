@@ -1,10 +1,10 @@
-"""Classical state-vector simulation of Grover search over Z_p.
+"""Classical simulation of Grover search over Z_p.
 
 The searcher sees the hidden secret only through the one-query
-point-search view of the identity oracle.  A run keeps the full amplitude
-vector, applies the phase oracle (one counted query per application per
-standard quantum query accounting) followed by inversion about the mean,
-and reports the success probability of measuring the secret.
+point-search view of the identity oracle.  A run applies the phase
+oracle (one counted query per application per standard quantum query
+accounting) followed by inversion about the mean, and reports the
+success probability of measuring the secret.
 
 The phase flip needs the secret's position, which is taken once through
 escrow at construction; simulating the oracle's action on every basis
@@ -23,10 +23,27 @@ vector (Boyer, Brassard, Hoyer and Tapp, 1998).  A ``complex128`` state
 would carry an imaginary half that is exactly 0 and double the bytes
 every step reads and writes.  The step functions are dtype-generic, so
 a complex state evolves as before.
+
+The state is therefore two values: the target's amplitude t and the
+amplitude u that every other entry shares.  A run evolves the pair with
+the float operations that ``_step_in_place`` applies to the vector, so
+its bits equal the vector's and a seeded measurement is unchanged.  The
+mean is the one step that touches every entry: numpy sums an array
+pairwise (Higham, 1993), fewer than 8 items in order from 0.0, 8 to 128
+items in 8 interleaved lanes combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+followed by the n mod 8 tail in order, and more items as the sum over
+the first n2 = n//2 - (n//2 mod 8) plus the sum over the rest.  Every
+subtree of that split without the target sums u alone, so its sum
+depends on its size only, and ``_two_valued_sum`` rebuilds numpy's sum
+in O(log n) float additions from a size tree built once per run.  The
+``float64`` vector is built once, at the end, for sampling and
+``_check_norm``; ``_step`` and ``_step_in_place`` stay as the array
+reference that tests iterate.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -57,10 +74,13 @@ def optimal_iterations(n_states: int) -> int:
     return max(0, round(math.pi / 4 * math.sqrt(n_states) - 0.5))
 
 
-def _check_norm(amplitudes: np.ndarray) -> None:
-    norm = math.sqrt(np.vdot(amplitudes, amplitudes).real)
+def _require_unit(norm: float) -> None:
     if abs(norm - 1.0) > _NORM_TOL:
         raise NormDriftError(f"state norm drifted to {norm!r}")
+
+
+def _check_norm(amplitudes: np.ndarray) -> None:
+    _require_unit(math.sqrt(np.vdot(amplitudes, amplitudes).real))
 
 
 def _step(amplitudes: np.ndarray, target: int) -> np.ndarray:
@@ -80,6 +100,104 @@ def _step_in_place(amplitudes: np.ndarray, target: int) -> None:
     _check_norm(amplitudes)
 
 
+_PW_BLOCKSIZE = 128  # numpy's PW_BLOCKSIZE: blocks up to this size sum in 8 lanes
+
+
+def _pairwise_split(n: int) -> tuple:
+    """numpy's split of a block of more than 128 items: first n2, then the rest."""
+    n2 = n // 2
+    n2 -= n2 % 8
+    return n2, n - n2
+
+
+@functools.lru_cache(maxsize=16)
+def _pairwise_plan(n: int, j: int) -> tuple:
+    """numpy's pairwise size tree for n items, seen from item j.
+
+    Returns the leaf block holding item j as (size, index in it), the
+    sizes of the target-free siblings on the way from that block up to
+    the root, and every target-free subtree size in increasing order with
+    its split (``None`` for a block), so each is summed after its parts.
+    The tree depends on n and j alone, so a run builds it once.
+    """
+    siblings = []
+    while n > _PW_BLOCKSIZE:
+        n2, rest = _pairwise_split(n)
+        if j < n2:
+            siblings.append(rest)
+            n = n2
+        else:
+            siblings.append(n2)
+            n, j = rest, j - n2
+    sizes, stack = set(), list(siblings)
+    while stack:
+        m = stack.pop()
+        if m not in sizes:
+            sizes.add(m)
+            if m > _PW_BLOCKSIZE:
+                stack.extend(_pairwise_split(m))
+    pure = tuple((m, _pairwise_split(m) if m > _PW_BLOCKSIZE else None) for m in sorted(sizes))
+    return (n, j), tuple(reversed(siblings)), pure
+
+
+def _block_sum(m: int, i: int, u: float, t: float, lanes: list) -> float:
+    """numpy's sum of a block of m <= 128 items, all u except item i = t
+    (i = -1 for none): from 0.0 in order below 8 items, else 8 interleaved
+    lanes combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    m mod 8 tail in order.  ``lanes[q]`` is the in-order sum of q copies
+    of u, so lanes without t combine by doubling."""
+    if m < 8:
+        s = 0.0
+        for k in range(m):
+            s += t if k == i else u
+        return s
+    q = m // 8
+    s = lanes[q]
+    if 0 <= i < 8 * q:
+        pos = i // 8
+        x = t if pos == 0 else u
+        for k in range(1, q):
+            x += t if k == pos else u
+        r = [s] * 8
+        r[i % 8] = x
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    else:
+        s += s
+        s += s
+        s += s
+    for k in range(8 * q, m):
+        s += t if k == i else u
+    return s
+
+
+def _two_valued_sum(n: int, j: int, u: float, t: float) -> float:
+    """``np.add.reduce`` of the n-vector that is u everywhere but t at j,
+    bit for bit, in O(log n) float additions: every subtree of numpy's
+    pairwise sum without item j sums u alone, so its sum depends on its
+    size only."""
+    (m, i), siblings, pure = _pairwise_plan(n, j)
+    lanes = [0.0, u]
+    for _ in range(min(n, _PW_BLOCKSIZE) // 8 - 1):
+        lanes.append(lanes[-1] + u)
+    sums = {}
+    for size, split in pure:
+        sums[size] = _block_sum(size, -1, u, t, lanes) if split is None else sums[split[0]] + sums[split[1]]
+    s = _block_sum(m, i, u, t, lanes)
+    for size in siblings:
+        s += sums[size]
+    return s
+
+
+def _two_valued_step(n: int, target: int, t: float, u: float) -> tuple:
+    """``_step_in_place`` on a state that is t at the target and u
+    elsewhere: the same float operations, so the same bits."""
+    t = -t
+    mean = _two_valued_sum(n, target, u, t) / n
+    t, u = 2 * mean - t, 2 * mean - u
+    _require_unit(math.sqrt(t * t + (n - 1) * (u * u)))
+    return t, u
+
+
 def _iteration_count(iterations) -> int:
     """An exact iteration count, refused when negative."""
     k = operator.index(iterations)
@@ -88,27 +206,38 @@ def _iteration_count(iterations) -> int:
     return k
 
 
-def simulate_search(n_states: int, target: int, iterations: int) -> np.ndarray:
-    """Amplitudes after running Grover search from the uniform state.
-
-    Works for any N >= 2 and any target, with no oracle attached; the
-    self-test N = 4, k = 1 hits the textbook exact case.  The state is
-    ``float64``: every step maps real amplitudes to real ones, so this
-    is a ``complex128`` run's real part up to rounding (numpy sums the
-    mean of a real array in another pairwise order, which moves the
-    last bits).
-    """
+def _check_states(n_states: int, target: int) -> None:
     if n_states < 2:
         raise ValueError(f"need at least 2 states, got {n_states}")
     if n_states > MAX_STATES:
         raise ValueError(f"{n_states} states exceed the memory guard {MAX_STATES}")
     if not 0 <= target < n_states:
         raise ValueError(f"target {target} outside [0, {n_states})")
+
+
+def simulate_search(n_states: int, target: int, iterations: int) -> np.ndarray:
+    """Amplitudes after running Grover search from the uniform state.
+
+    Works for any N >= 2 and any target, with no oracle attached; the
+    self-test N = 4, k = 1 hits the textbook exact case.  The state is
+    evolved as its two values, the target's amplitude and the one every
+    other entry shares, each step the float operations of
+    ``_step_in_place``: the mean is ``_two_valued_sum`` (numpy's pairwise
+    order, rebuilt exactly) over N, so the result equals iterated
+    ``_step`` bit for bit.  The ``float64`` vector is built once at the
+    end, where ``_check_norm`` checks it; the norm of the two values is
+    checked after every step.  It is a ``complex128`` run's real part
+    up to rounding (numpy sums the mean of a real array in another
+    pairwise order, which moves the last bits).
+    """
+    _check_states(n_states, target)
     iterations = _iteration_count(iterations)
-    amplitudes = np.full(n_states, 1.0 / math.sqrt(n_states), dtype=np.float64)
-    _check_norm(amplitudes)
+    t = u = 1.0 / math.sqrt(n_states)
     for _ in range(iterations):
-        _step_in_place(amplitudes, target)
+        t, u = _two_valued_step(n_states, target, t, u)
+    amplitudes = np.full(n_states, u, dtype=np.float64)
+    amplitudes[target] = t
+    _check_norm(amplitudes)
     return amplitudes
 
 
@@ -190,18 +319,19 @@ def quantum_query_curve(ps: Sequence[int]) -> List[CurvePoint]:
     """
     points = []
     for p in ps:
-        amplitudes = simulate_search(p, 0, 0)
+        _check_states(p, 0)
+        t = u = 1.0 / math.sqrt(p)
         bound = math.ceil(math.pi / 4 * math.sqrt(p))
         k = 0
-        success = float(abs(amplitudes[0]) ** 2)
+        success = abs(t) ** 2
         while success < 2 / 3:
             if k >= bound:
                 raise AssertionError(
                     f"success 2/3 not reached within ceil(pi/4 sqrt(p)) = {bound}"
                 )
-            _step_in_place(amplitudes, 0)
+            t, u = _two_valued_step(p, 0, t, u)
             k += 1
-            success = float(abs(amplitudes[0]) ** 2)
+            success = abs(t) ** 2
         points.append(CurvePoint(p=p, iterations=k, success_probability=success))
     return points
 

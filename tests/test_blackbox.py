@@ -722,6 +722,31 @@ def test_reveal_scales_the_raw_normal():
         lift_oracle(OracleView(RawOracle((0, 1, 4), pm), (1, 0, 2), 2)).reveal_hidden(None)
 
 
+@pytest.mark.parametrize("coords", [(1, 3), (1, 0), (1, 6), (1, 2, 5), (1, 0, 0)])
+def test_identity_oracle_equals_raw_oracle_on_its_normal(coords):
+    # IdentityOracle takes a NormalVector's coordinates as they are, without
+    # the raw oracle's second reduction: same answers, scans and reveal.
+    pm = PrimeModulus(7)
+    nv = NormalVector(coords, pm)
+    ident, raw = IdentityOracle(nv), RawOracle(nv.coords, pm)
+    width = len(coords)
+    for q in itertools.product(range(7), repeat=width):
+        assert ident.query_coords(q) == raw.query_coords(q), q
+    for base, step in itertools.product(itertools.product(range(0, 7, 3), repeat=width), repeat=2):
+        for seq in (range(7), range(6, -1, -2), (4, 2, 0, 9), [5, 3, 1]):
+            assert scan_line(ident, base, step, seq) == scan_line(raw, base, step, seq)
+    if width == 2:
+        for x in range(7):
+            assert first_on_line(ident, (x,)) == first_on_line(raw, (x,))
+    assert ident.queries == raw.queries
+    assert ident.reveal_hidden(ESCROW) == raw.reveal_hidden(ESCROW) == nv
+    assert ident.reveal_normal(ESCROW) == raw.reveal_normal(ESCROW) == nv.coords
+    with pytest.raises(ValueError, match="budget"):
+        IdentityOracle(nv, budget=-1)
+    with pytest.raises(TypeError):
+        IdentityOracle(nv, budget=2.0)
+
+
 def test_escrow_gate():
     o = IdentityOracle.level1(PrimeModulus(7), 3)
     with pytest.raises(EscrowError):

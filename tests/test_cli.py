@@ -105,6 +105,14 @@ def test_empty_runs_exit_1(argv, message, capsys):
     assert "division by zero" not in captured.err
 
 
+def test_repeated_prime_exit_1(capsys):
+    # It used to print two identical rows and exit 0.
+    assert main(["scaling", "--p", "3,3", "--trials", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must not repeat a prime" in captured.err
+
+
 def test_scaling_subcommand_csv(tmp_path):
     out = tmp_path / "scaling.csv"
     rc = main(["scaling", "--p", "11,13", "--trials", "100", "--seed", "2", "--out", str(out)])

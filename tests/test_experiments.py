@@ -300,6 +300,15 @@ def test_empty_runs_refused():
         run_scaling([], 10, seed=0)
 
 
+def test_repeated_prime_refused():
+    # A repeated prime used to be run again with the same seeds, printing
+    # an identical row.
+    for ps in ([3, 3], [11, 13, 11]):
+        with pytest.raises(ValueError, match="must not repeat a prime"):
+            run_scaling(ps, 2, seed=0)
+    assert [row.p for row in run_scaling([3, 5], 2, seed=0)] == [3, 5]
+
+
 def test_format_value():
     assert format_value(True) == "true"
     assert format_value(False) == "false"

@@ -11,6 +11,8 @@ from dhbox.grover_sim import (
     NormDriftError,
     _step,
     _step_in_place,
+    _two_valued_step,
+    _two_valued_sum,
     closed_form_success,
     fit_sqrt_coefficient,
     grover_search,
@@ -203,6 +205,85 @@ def test_negative_iterations_refused_uncharged():
     run = grover_search(oracle, iterations=np.int64(3), rng=np.random.default_rng(0))
     assert type(run.iterations) is int and run.iterations == run.oracle_queries == 3
     assert oracle.queries == 3
+
+
+# numpy's pairwise sum changes rule at 8 and 128 items and splits larger
+# blocks at multiples of 8, so the sizes sit on and around those edges.
+_SUM_SIZES = sorted(
+    set(range(1, 301))
+    | {8 * k + d for k in range(1, 130) for d in (-1, 1)}
+    | {(1 << k) + d for k in range(1, 23) for d in (-1, 0, 1)}
+    | {65537, (1 << 17) - 1}
+)
+
+
+def _boundary_targets(n):
+    return sorted({j for j in (0, 7, 8, 127, 128, n - n % 8, n - 1) if 0 <= j < n})
+
+
+def test_two_valued_sum_is_numpy_pairwise_sum():
+    rng = np.random.default_rng(19)
+    for n in _SUM_SIZES:
+        u = float(rng.standard_normal()) / math.sqrt(n)
+        t = float(rng.standard_normal())
+        a = np.full(n, u)
+        for j in _boundary_targets(n):
+            a[j] = t
+            assert _two_valued_sum(n, j, u, t) == np.add.reduce(a), (n, j)
+            a[j] = u
+
+
+def test_simulate_search_is_iterated_step_at_boundary_targets():
+    for n, k in ((9, 3), (120, 4), (129, 4), (136, 3), (257, 5), (1031, 5), (4097, 4), (65537, 3)):
+        for target in _boundary_targets(n):
+            ref = np.full(n, 1 / math.sqrt(n), dtype=np.float64)
+            for _ in range(k):
+                ref = _step(ref, target)
+            amp = simulate_search(n, target, k)
+            assert amp.dtype == np.float64
+            assert np.array_equal(amp, ref), (n, target)
+
+
+def _array_grover_run(p, target, k, seed):
+    """The state-vector search: k in-place steps, then sampling."""
+    amp = np.full(p, 1 / math.sqrt(p), dtype=np.float64)
+    for _ in range(k):
+        _step_in_place(amp, target)
+    probs = np.square(amp)
+    measured = int(np.random.default_rng(seed).choice(p, p=probs / probs.sum()))
+    return GroverRun(
+        p=p, target=target, iterations=k, success_probability=float(probs[target]),
+        measured_outcome=measured, oracle_queries=k,
+    )
+
+
+def test_seeded_search_at_65537_equals_the_array_path():
+    p = 65537
+    pm = PrimeModulus(p)
+    k = optimal_iterations(p)
+    for seed in range(10):
+        target = (seed * 40503 + 7) % p
+        run = grover_search(IdentityOracle.level1(pm, target), rng=np.random.default_rng(seed))
+        assert run.to_dict() == _array_grover_run(p, target, k, seed).to_dict(), seed
+
+
+def test_curve_equals_the_array_path_below_2000():
+    primes = [p for p in range(3, 2000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    points = quantum_query_curve(primes)
+    for p, point in zip(primes, points):
+        amp = np.full(p, 1 / math.sqrt(p), dtype=np.float64)
+        k = 0
+        while abs(amp[0]) ** 2 < 2 / 3:
+            _step_in_place(amp, 0)
+            k += 1
+        assert (point.p, point.iterations, point.success_probability) == (p, k, float(abs(amp[0]) ** 2))
+
+
+def test_norm_checked_after_two_valued_step():
+    with pytest.raises(NormDriftError):
+        _two_valued_step(8, 0, 0.5, 0.5)  # norm sqrt(2)
+    t, u = _two_valued_step(4, 2, 0.5, 0.5)
+    assert (t, u) == (1.0, 0.0)  # the textbook exact case
 
 
 def test_run_json_line():
