@@ -21,6 +21,7 @@ from .blackbox import (
     OracleBase,
     OracleView,
     _check_escrow,
+    _check_width,
     _index_length,
     canonical_element,
     coset_label,
@@ -60,9 +61,9 @@ def _label_quotient(n: NormalVector, g: GroupElement, *factors: GroupElement) ->
 class DHInstance(NamedTuple):
     """A Diffie-Hellman instance (g, h, k) or quadruple (g, h, k, l).
 
-    ``l`` is None for CDH inputs.  Whether g actually generates the group
-    depends on the hidden vector and is checked by the consuming
-    algorithm, not here.
+    ``l`` is None for CDH inputs; :meth:`check` is the one rule for an
+    instance against an oracle.  Whether g generates the group depends on
+    the hidden vector and is checked by the consuming algorithm.
     """
 
     g: GroupElement
@@ -78,10 +79,14 @@ class DHInstance(NamedTuple):
     def level(self) -> int:
         return self.g.level
 
-    def check(self) -> "DHInstance":
-        for e in (self.h, self.k, self.l):
-            if e is not None:
-                self.g._check_compatible(e)
+    def check(self, oracle) -> "DHInstance":
+        """Refuse, before the first query or call, an element that is not
+        a query of ``oracle``: of another modulus or width (level + 1)."""
+        p, width = oracle.modulus.p, oracle.level + 1
+        for e in self:
+            if e is not None and (e.modulus.p != p or len(e.coords) != width):
+                _require_same_modulus(oracle, e)
+                _check_width(oracle, len(e.coords))
         return self
 
 
@@ -191,8 +196,7 @@ def ddh_decide_level1(oracle, inst: DHInstance, check_generator: bool = True) ->
         raise ValueError(f"level-1 instance required, got level {inst.level}")
     if inst.l is None:
         raise ValueError("DDH needs a full quadruple, l is missing")
-    inst.check()
-    _require_same_modulus(oracle, inst)
+    inst.check(oracle)
     if check_generator and oracle.query(inst.g) == 1:
         raise NotAGeneratorError("DDH instance with non-generator g")
     a2, a1, a0 = dh_polynomial(inst)
@@ -245,18 +249,18 @@ def secret_from_dlog_random(dlog: DlogOracle, rng) -> Optional[Residue]:
 def secret_from_cdh(cdh: CdhOracle, oracle) -> Residue:
     """Recover the hidden secret with a single CDH call.
 
-    Asks the oracle to complete g = (1,0), h = (0,1), k = (1,1).  For the
+    Asks the oracle to complete g = (1,0), h = (0,1), k = (1,1); an
+    oracle they are not queries of is refused before the call.  For the
     answer l, the quadruple polynomial is -x^2 + (l1 - 1)x + l0, so the
-    secret solves x^2 + (1 - l1)x - l0 = 0.  Both roots are computed
-    exactly and at most two identity queries pick out which root is the
-    secret.
+    secret solves x^2 + (1 - l1)x - l0 = 0, and at most two identity
+    queries pick out which of its roots is the secret.
     """
-    _require_same_modulus(oracle, cdh)
     modulus = cdh.modulus
     p = modulus.p
     g = GroupElement((1, 0), modulus)
     h = GroupElement((0, 1), modulus)
     k = GroupElement((1, 1), modulus)
+    DHInstance(g, h, k).check(oracle)
     l = cdh(g, h, k)
     l0, l1 = l.coords
     s = first_on_line(oracle, _roots_int(1, 1 - l1, -l0, p))
@@ -624,12 +628,11 @@ def embed_generic_group(modulus: PrimeModulus, q: int, generators: Tuple[int, in
 def ddh_decide_by_search(oracle, inst: DHInstance) -> int:
     """Decide DDH at any level by exhaustive recovery of the hidden vector.
 
-    Costs at most t*p queries; the generic upper bound that works where
-    no polynomial decision is available.
+    Costs at most t*p queries (none on a refused quadruple): the generic
+    upper bound where no polynomial decision is available.
     """
     if inst.l is None:
         raise ValueError("DDH needs a full quadruple, l is missing")
-    inst.check()
-    _require_same_modulus(oracle, inst)
+    inst.check(oracle)
     n = brute_force_hidden_vector(oracle)
     return 1 if _label_quotient(n, inst.g, inst.h, inst.k) == coset_label(n, inst.l).value else 0

@@ -492,9 +492,6 @@ class GroverOracle:
     def query(self, x: int) -> int:
         return grover_from_identity(self._line, x)
 
-    def reveal_secret(self, escrow: Escrow) -> int:
-        return self._line.reveal_hidden(escrow).secret
-
 
 def equal_in_group(oracle, a: GroupElement, b: GroupElement) -> int:
     """Equality of cosets: one identity query on the difference a - b."""

@@ -36,6 +36,7 @@ from dhbox.algorithms import (
 from dhbox.blackbox import (
     Escrow,
     GroupElement,
+    GroverOracle,
     IdentityOracle,
     OracleView,
     QueryBudgetExceeded,
@@ -43,8 +44,10 @@ from dhbox.blackbox import (
     coset_label,
     equal_in_group,
     first_on_line,
+    identity_from_grover,
     scan_line,
 )
+from dhbox.grover_sim import grover_search
 from dhbox.modmath import PrimeModulus, QuadraticPoly, Residue, _sylow2, solve_quadratic, sqrt_mod
 
 ESCROW = Escrow()
@@ -142,18 +145,88 @@ def test_ddh_level_and_missing_l_rejected():
     )
     with pytest.raises(ValueError):
         ddh_decide_level1(o, inst2)
-    # an oracle modulo another prime is refused before any query
+    # an oracle modulo another prime, or of another width, is refused
+    # before any query
     pm7 = PrimeModulus(7)
-    inst7 = DHInstance(elem(pm7, 1, 0), elem(pm7, 0, 1), elem(pm7, 0, 1), elem(pm7, 4, 0))
+    g7 = elem(pm7, 1, 0)
+    inst7 = DHInstance(g7, elem(pm7, 0, 1), elem(pm7, 0, 1), elem(pm7, 4, 0))
     o11 = IdentityOracle.level1(PrimeModulus(11), 2)
-    for decide in (
-        ddh_decide_level1,
-        lambda o, inst: ddh_decide_level1(o, inst, check_generator=False),
-        ddh_decide_by_search,
-    ):
-        with pytest.raises(ValueError, match="modulus mismatch"):
-            decide(o11, inst7)
-        assert o11.queries == 0
+    o2 = lift_oracle(IdentityOracle.level1(pm7, 3))
+    o1 = IdentityOracle.level1(pm7, 3)
+
+    def unscreened(o, inst):
+        return ddh_decide_level1(o, inst, check_generator=False)
+
+    rows = [
+        (ddh_decide_level1, o11, inst7, "modulus mismatch"),
+        (unscreened, o11, inst7, "modulus mismatch"),
+        (ddh_decide_by_search, o11, inst7, "modulus mismatch"),
+        # a constant polynomial needs no query, so only the check refuses it
+        (unscreened, o2, DHInstance(g7, g7, g7, g7), "dimension mismatch"),
+        (unscreened, o2, inst7, "dimension mismatch"),
+        (ddh_decide_level1, o2, inst7, "dimension mismatch"),
+        # the search refuses before it recovers any coordinate
+        (ddh_decide_by_search, o2, inst7, "dimension mismatch"),
+        (ddh_decide_by_search, o1, lift_instance(inst7), "dimension mismatch"),
+    ]
+    for decide, o, inst, match in rows:
+        with pytest.raises(ValueError, match=match):
+            decide(o, inst)
+        assert o.queries == 0
+
+
+def _refusal(fn, *args):
+    """The call fn(*args) and those of its arguments that count charges."""
+    counted = [a for a in args if hasattr(a, "queries") or hasattr(a, "calls")]
+    return lambda: fn(*args), counted
+
+
+def _level2_oracle():
+    return lift_oracle(IdentityOracle.level1(PrimeModulus(7), 3))
+
+
+def _honest_cdh(p):
+    return honest_cdh_oracle(IdentityOracle.level1(PrimeModulus(p), 3), ESCROW)
+
+
+# Entry points that take an oracle, each with an input of the wrong modulus
+# or level; 4194319 is the first prime above the Grover memory guard.
+REFUSALS = {
+    "cdh-random/modulus": lambda: _refusal(
+        secret_from_cdh_random, _honest_cdh(11), IdentityOracle.level1(PrimeModulus(7), 3),
+        np.random.default_rng(0)),
+    "cdh-random/level": lambda: _refusal(
+        secret_from_cdh_random, _honest_cdh(7), _level2_oracle(), np.random.default_rng(0)),
+    "brute-force/level": lambda: _refusal(brute_force_secret, _level2_oracle()),
+    "brute-force-random/level": lambda: _refusal(
+        brute_force_secret, _level2_oracle(), np.random.default_rng(0)),
+    "equal-in-group/modulus": lambda: _refusal(
+        equal_in_group, IdentityOracle.level1(PrimeModulus(7), 3),
+        elem(PrimeModulus(11), 1, 2), elem(PrimeModulus(11), 3, 4)),
+    "equal-in-group/level": lambda: _refusal(
+        equal_in_group, _level2_oracle(), elem(PrimeModulus(7), 1, 2), elem(PrimeModulus(7), 3, 4)),
+    "identity-from-grover/modulus": lambda: _refusal(
+        identity_from_grover, GroverOracle(PrimeModulus(7), 3), elem(PrimeModulus(11), 1, 2)),
+    "identity-from-grover/level": lambda: _refusal(
+        identity_from_grover, GroverOracle(PrimeModulus(7), 3), elem(PrimeModulus(7), 1, 2, 0)),
+    "ddh-screened/modulus": lambda: _refusal(
+        ddh_decide_level1, IdentityOracle.level1(PrimeModulus(11), 3),
+        DHInstance(*(elem(PrimeModulus(7), 1, c) for c in range(4)))),
+    "ddh-screened/level": lambda: _refusal(
+        ddh_decide_level1, _level2_oracle(), DHInstance(*(elem(PrimeModulus(7), 1, c) for c in range(4)))),
+    "grover/level": lambda: _refusal(grover_search, _level2_oracle()),
+    "grover/memory-guard": lambda: _refusal(
+        grover_search, IdentityOracle.level1(PrimeModulus(4194319), 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_bad_input_is_refused_before_any_charge(case):
+    call, counted = REFUSALS[case]()
+    with pytest.raises(ValueError):
+        call()
+    charges = [(getattr(c, "queries", 0), getattr(c, "calls", 0)) for c in counted]
+    assert charges == [(0, 0)] * len(counted)
 
 
 # ---------------------------------------------------------- secret from DLOG
@@ -292,6 +365,12 @@ def test_secret_from_cdh_dishonest_oracle():
     with pytest.raises(ValueError, match="modulus mismatch"):
         secret_from_cdh(c11, o7)
     assert c11.calls == 0 and o7.queries == 0
+    # so is an oracle above level 1, before the CDH call is spent
+    c7 = honest_cdh_oracle(o7, ESCROW)
+    o2 = lift_oracle(IdentityOracle.level1(pm, 3))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        secret_from_cdh(c7, o2)
+    assert c7.calls == 0 and o2.queries == 0
 
 
 def test_secret_from_cdh_random_outcomes():
