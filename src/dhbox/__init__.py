@@ -4,15 +4,16 @@ behind a membership oracle.
 
 The main entry points re-exported here cover field arithmetic, oracles
 with honest query accounting, every reduction between the three problems,
-the exhaustive adversary-bound computation at small primes, the Grover
-search simulator and the reproducible experiment harness.
+the exact adversary-bound computation, the Grover search simulator and
+the reproducible experiment harness.
 
 ``import dhbox`` loads only the level-1 core: ``modmath``, ``blackbox``
 and ``algorithms``, which need no numpy.  The study names, from
 ``adversary``, ``experiments`` and ``grover_sim``, are in ``_STUDIES``;
 the first access to one of them, or to its module, imports that module
-and binds the name here (PEP 562), so numpy loads with the first study
-or the first scan of a buffer.
+and binds the name here (PEP 562), so numpy loads with the first
+``experiments`` or ``grover_sim`` name or the first scan of a buffer;
+``adversary`` walks its query classes in plain integers and needs none.
 """
 
 from importlib import import_module

@@ -13,16 +13,18 @@ Row sums of the restricted matrix depend only on h, the polarity of the
 row vector and its oracle answer at h, so the search over all admissible
 (n, n', h) collapses to four counts per h: positives/negatives on and off
 the hyperplane of h.  Those counts are the same for h and every nonzero
-multiple of h, so only the p^2 + p + 1 projective classes are counted,
+multiple of h, so only the p^2 + p + 1 projective classes are walked,
 each by its lexicographically first member (leading coordinate 1).  In
 x = n_1 - 1 the positives are the conic x * (n_2 - 1) = 1 with x != 0,
 so the positives on a hyperplane are the nonzero roots of a quadratic,
-read from a table of the squares mod p.  Counting and minimization are
-vectorized.  Each ratio is a constant over an integer key below p^3, so
-its minimum is the first maximum of an int64 array and reported values
-never owe anything to float rounding.  The reduction is a plain
-maximum, hence insensitive to any chunking or parallel split of the
-classes.
+counted by one Legendre symbol of its discriminant.  A class thus holds
+0, 1 or 2 positives among its p points, or is the empty class (1,0,0),
+and its row sums are those of one of four types.  Each ratio is a
+constant over an integer key, so its minimum is the first maximum of
+the key over the walk, which stops at the first class reaching the
+largest key of the four types.  Keys are Python ints, so reported
+values are exact at every modulus and never owe anything to float
+rounding.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import List, Tuple
 
-import numpy as np
-
-from .modmath import PrimeModulus, _inv_int
+from .modmath import PrimeModulus, _inv_int, _legendre_int
 
 DEFAULT_ENUMERATION_GUARD = 31
 
@@ -120,61 +121,76 @@ def sigma_gamma_h(p: int, vec: ClassifiedVector, h: Tuple[int, int, int]) -> int
     return count
 
 
-def _class_counts(p: int):
-    """Per-query counts over the p^2 + p + 1 projective query classes.
+def _type_pairs(p: int) -> dict:
+    """The admissible (kind, a, b) of each class type (pos_on, neg_on).
 
-    Each class is given by its lexicographically first member, the one
-    whose leading nonzero coordinate is 1: (0,0,1), then (0,1,x), then
-    (1,a,b).  These members come in lexicographic order too, so the
-    first minimum over classes is the first minimum over all h.
-
-    Returns the class coordinates and flat arrays of the number of
-    positive vectors on the hyperplane of h, the number of negative
-    ones, and their complements off the hyperplane.  The positives are
-    n1 = 1 + x, n2 = 1 + 1/x for x != 0, so with S = h0 + h1 + h2 those
-    on the hyperplane are the nonzero roots x of h1 x^2 + S x + h2: by
-    the discriminant when h1 != 0 (less the root x = 0 when h2 = 0),
-    else one root when h2 != 0 and S = h0 + h2 != 0.
+    A class holds 0, 1 or 2 positives (the roots of a nonzero quadratic)
+    among its p points, or is the empty class (1,0,0), so it is one of
+    four types.  Kind A (0) has the positive row answer 1 and the
+    negative row 0; kind B (1) the reverse.  a is the row sum at the
+    positive vector (the negatives answering otherwise) and b the one at
+    the negative vector; a kind is admissible when both are at least 1,
+    that is when both rows exist.  A comes before B, as in a loop over h
+    trying A first.
     """
-    rest = np.arange(p * p, dtype=np.int64)
-    h0 = np.concatenate((np.zeros(p + 1, dtype=np.int64), np.ones(p * p, dtype=np.int64)))
-    h1 = np.concatenate(([0], np.ones(p, dtype=np.int64), rest // p))
-    h2 = np.concatenate(([1], np.arange(p, dtype=np.int64), rest % p))
-    square = np.zeros(p, dtype=bool)
-    square[np.arange(p, dtype=np.int64) ** 2 % p] = True
-    s = (h0 + h1 + h2) % p
-    disc = (s * s - 4 * h1 * h2) % p
-    roots = np.where(disc == 0, 1, 2 * square[disc])
-    pos_on = np.where(
-        h1 != 0, roots - (h2 == 0), (h2 != 0) & ((h0 + h2) % p != 0)
-    ).astype(np.int64)
-    # Points on a hyperplane: p when (h1, h2) != 0; only h = (1,0,0) has none.
-    total_on = np.where((h1 != 0) | (h2 != 0), p, 0)
-    neg_on = total_on - pos_on
-    n_pos = p - 1
-    n_neg = p * p - p + 1
-    return (h0, h1, h2), pos_on, neg_on, n_pos - pos_on, n_neg - neg_on
+    n_pos, n_neg = p - 1, p * p - p + 1
+    types = {}
+    for pos_on, neg_on in ((0, 0), (0, p), (1, p - 1), (2, p - 2)):
+        kinds = ((0, n_neg - neg_on, pos_on), (1, neg_on, n_pos - pos_on))
+        types[pos_on, neg_on] = [(kind, a, b) for kind, a, b in kinds if a >= 1 and b >= 1]
+    return types
 
 
 def _admissible_pairs(p: int):
-    """The admissible (a, b) row-sum pairs over all query classes.
+    """Every admissible (h, kind, a, b), walking the query classes in order.
 
-    Candidate j = 2*i + kind for class i: kind A (j even) has the
-    positive row answer 1 and the negative row 0; kind B (j odd) the
-    reverse.  a is the row sum at the positive vector (the negatives
-    answering otherwise) and b the one at the negative vector; a
-    candidate is admissible when both are at least 1, that is when both
-    rows exist.  This is the order of a loop over h trying A before B, so
-    a first maximum over the candidates is that loop's first extremum.
+    Each of the p^2 + p + 1 projective classes is given by its
+    lexicographically first member, the one whose leading nonzero
+    coordinate is 1: (0,0,1), then (0,1,x), then (1,a,b).  These members
+    come in lexicographic order too, so the first extremum over classes
+    is the first extremum over all h.
 
-    Returns the class coordinates, the admissible candidate indices j
-    and the int64 arrays a and b at those indices.
+    The positives are n1 = 1 + x, n2 = 1 + 1/x for x != 0, so with
+    S = h0 + h1 + h2 those on the hyperplane of h are the nonzero roots x
+    of h1 x^2 + S x + h2: 1 + (disc/p) of them when h1 != 0 (less the
+    root x = 0 when h2 = 0), else one when h2 != 0 and S != 0.  The
+    hyperplane holds p points when (h1, h2) != 0; only h = (1,0,0) has
+    none.  A class outside ``_type_pairs`` would raise ``KeyError``.
     """
-    h, pos_on, neg_on, pos_off, neg_off = _class_counts(p)
-    sig_n = np.stack([neg_off, neg_on], axis=1).ravel()
-    sig_np = np.stack([pos_on, pos_off], axis=1).ravel()
-    admissible = np.flatnonzero((sig_n >= 1) & (sig_np >= 1))
-    return h, admissible, sig_n[admissible], sig_np[admissible]
+    pairs = _type_pairs(p)
+    tail = ((1, a, b) for a in range(p) for b in range(p))
+    for h in chain([(0, 0, 1)], ((0, 1, x) for x in range(p)), tail):
+        h0, h1, h2 = h
+        s = h0 + h1 + h2
+        if h1:
+            pos_on = 1 + _legendre_int(s * s - 4 * h1 * h2, p) - (h2 == 0)
+        else:
+            pos_on = int(h2 != 0 and s % p != 0)
+        for pair in pairs[pos_on, (p if h1 or h2 else 0) - pos_on]:
+            yield (h, *pair)
+
+
+def _key_top(p: int, key) -> int:
+    """The largest key(kind, a, b) over the class types: no class exceeds it."""
+    return max(key(*pair) for pairs in _type_pairs(p).values() for pair in pairs)
+
+
+def _first_max(p: int, key):
+    """The largest key(kind, a, b) over the walk and its first (h, kind, a, b).
+
+    The walk keeps the first strict maximum and stops when it reaches
+    ``_key_top``, so the result is the first maximum over every class.
+    The class (1,0,p-1) admits kind B at every odd p, so there is one.
+    """
+    top = _key_top(p, key)
+    best = (-1, None)
+    for cand in _admissible_pairs(p):
+        k = key(*cand[1:])
+        if k > best[0]:
+            best = (k, cand)
+            if k == top:
+                break
+    return best
 
 
 def case_count_extremes(p: int):
@@ -188,9 +204,10 @@ def case_count_extremes(p: int):
     observed maxima of the two counts: b over kind A, a over kind B.
     """
     PrimeModulus(p)
-    _, admissible, a, b = _admissible_pairs(p)
-    kind_a = admissible % 2 == 0
-    return int(b[kind_a].max(initial=0)), int(a[~kind_a].max(initial=0))
+    return (
+        _first_max(p, lambda kind, a, b: b * (1 - kind))[0],
+        _first_max(p, lambda kind, a, b: a * kind)[0],
+    )
 
 
 @dataclass(frozen=True)
@@ -256,7 +273,9 @@ def _first_vector(p: int, positive: bool, h: Tuple[int, int, int], answer: int) 
     when h2 != 0, else in the whole column or not at all.  So a negative
     on the hyperplane with h2 != 0 can only be that one n2, and any other
     negative sought is among n2 = 0, 1, 2, of which at most two are
-    excluded.
+    excluded.  The scan stops at the first column that holds a match:
+    at the class the walk of ``adversary_bounds`` stops at, h = (0,1,2),
+    both witnesses lie in column n1 = 0.
     """
     h0, h1, h2 = h
     for n1 in range(p):
@@ -280,37 +299,30 @@ def adversary_bounds(p: int, force: bool = False) -> AdversaryReport:
     candidate is the product ratio; both are minimized over all h, with
     lexicographically first witnesses.
 
-    The p^2 + p + 1 projective query classes are counted by
-    ``_class_counts`` (O(p^2) time and memory).  Each ratio is sp*sn
-    over an int64 key, so its first minimum is the first ``np.argmax``
-    of the key; every key is below p^3, exact far beyond what the
-    counting can hold in memory.  Only the two minima become
-    ``Fraction``s.  The guard rejects p beyond 31 unless ``force`` is set.
+    Each ratio is sp*sn over an integer key, so its first minimum is
+    ``_first_max`` of the key: the walk over the projective query classes
+    in query order, stopped at the first class that reaches the largest
+    key any class can have.  At every prime checked that is the fourth
+    class, h = (0,1,2), so the report needs no enumeration and holds at
+    any modulus.  Only the two minima become ``Fraction``s.  The guard
+    rejects p beyond 31 unless ``force`` is set.
     """
     check_enumeration_guard(p, force)
-    (h0, h1, h2), admissible, a, b = _admissible_pairs(p)
-    if admissible.size == 0:
-        raise AssertionError("no admissible (n, n', h) found")
     sp = p * p - p + 1  # row sum at a positive vector
     sn = p - 1  # row sum at a negative vector
 
     # Both ratios are sp*sn over an integer key, smallest where the key is
     # largest.  Randomized: max(sp/a, sn/b) = sp*sn / min(sn*a, sp*b).
     # Quantum: sp*sn / (a*b).
-    rand_key = np.minimum(sn * a, sp * b)
-    quad_key = a * b
-    r = int(np.argmax(rand_key))
-    q = int(np.argmax(quad_key))
-    best_rand = Fraction(sp * sn, int(rand_key[r]))
-    best_quad = Fraction(sp * sn, int(quad_key[q]))
+    rand_key, r = _first_max(p, lambda kind, a, b: min(sn * a, sp * b))
+    quad_key, q = _first_max(p, lambda kind, a, b: a * b)
+    best_quad = Fraction(sp * sn, quad_key)
 
-    def witness(c: int) -> Witness:
-        i, kind = divmod(int(admissible[c]), 2)
-        h = (int(h0[i]), int(h1[i]), int(h2[i]))
-        pos_answer = 1 - kind
-        n = _first_vector(p, True, h, pos_answer)
-        n_prime = _first_vector(p, False, h, 1 - pos_answer)
-        return Witness(n, n_prime, h, int(a[c]), int(b[c]))
+    def witness(cand) -> Witness:
+        h, kind, a, b = cand
+        n = _first_vector(p, True, h, 1 - kind)
+        n_prime = _first_vector(p, False, h, kind)
+        return Witness(n, n_prime, h, a, b)
 
     return AdversaryReport(
         p=p,
@@ -318,7 +330,7 @@ def adversary_bounds(p: int, force: bool = False) -> AdversaryReport:
         count_negative=sp,
         sigma_positive=sp,
         sigma_negative=sn,
-        worst_ratio_randomized=best_rand,
+        worst_ratio_randomized=Fraction(sp * sn, rand_key),
         worst_ratio_quantum_squared=best_quad,
         worst_ratio_quantum=float(best_quad) ** 0.5,
         witness_randomized=witness(r),

@@ -246,6 +246,20 @@ def secret_from_dlog_random(dlog: DlogOracle, rng) -> Optional[Residue]:
     )
 
 
+def _cdh_quadruple(cdh: CdhOracle, oracle, g: GroupElement, h: GroupElement, k: GroupElement) -> DHInstance:
+    """(g, h, k) and the CDH answer, held to ``DHInstance.check``.
+
+    An answer of another modulus or width is no element of the oracle's
+    group, so the CDH oracle lied: :class:`DishonestOracleError`, before
+    any further query.
+    """
+    quadruple = DHInstance(g, h, k, cdh(g, h, k))
+    try:
+        return quadruple.check(oracle)
+    except ValueError as e:
+        raise DishonestOracleError(f"the CDH answer is not an element of the group: {e}") from e
+
+
 def secret_from_cdh(cdh: CdhOracle, oracle) -> Residue:
     """Recover the hidden secret with a single CDH call.
 
@@ -253,7 +267,8 @@ def secret_from_cdh(cdh: CdhOracle, oracle) -> Residue:
     oracle they are not queries of is refused before the call.  For the
     answer l, the quadruple polynomial is -x^2 + (l1 - 1)x + l0, so the
     secret solves x^2 + (1 - l1)x - l0 = 0, and at most two identity
-    queries pick out which of its roots is the secret.
+    queries pick out which of its roots is the secret.  An answer outside
+    the oracle's group raises :class:`DishonestOracleError` first.
     """
     modulus = cdh.modulus
     p = modulus.p
@@ -261,8 +276,7 @@ def secret_from_cdh(cdh: CdhOracle, oracle) -> Residue:
     h = GroupElement((0, 1), modulus)
     k = GroupElement((1, 1), modulus)
     DHInstance(g, h, k).check(oracle)
-    l = cdh(g, h, k)
-    l0, l1 = l.coords
+    l0, l1 = _cdh_quadruple(cdh, oracle, g, h, k).l.coords
     s = first_on_line(oracle, _roots_int(1, 1 - l1, -l0, p))
     if s is None:
         raise DishonestOracleError("no root of the CDH answer passes the identity test")
@@ -277,7 +291,8 @@ def secret_from_cdh_random(cdh: CdhOracle, oracle, rng) -> Optional[Residue]:
     polynomial; when its quadratic coefficient g1*l1 - h1*k1 is nonzero
     the secret is among its at most two roots and the identity oracle
     selects it.  A degenerate (lower-degree) draw yields None; that
-    happens with probability at most 2/p.
+    happens with probability at most 2/p.  An answer outside the oracle's
+    group raises :class:`DishonestOracleError` before any root is tested.
     """
     modulus = cdh.modulus
     p = modulus.p
@@ -294,9 +309,7 @@ def secret_from_cdh_random(cdh: CdhOracle, oracle, rng) -> Optional[Residue]:
     coords = rng.integers(0, p, size=4)
     h = GroupElement((int(coords[0]), int(coords[1])), modulus)
     k = GroupElement((int(coords[2]), int(coords[3])), modulus)
-    l = cdh(g, h, k)
-    inst = DHInstance(g, h, k, l)
-    a2, a1, a0 = dh_polynomial(inst)
+    a2, a1, a0 = dh_polynomial(_cdh_quadruple(cdh, oracle, g, h, k))
     if a2 == 0:
         return None
     s = first_on_line(oracle, _roots_int(a2, a1, a0, p))

@@ -43,9 +43,11 @@ def check_trials(trials: int) -> None:
 
 
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion at z sigmas."""
-    if trials == 0:
-        return 0.0, 1.0
+    """Wilson score interval for a binomial proportion at z sigmas.
+
+    Fewer than 1 trial is refused by ``check_trials``.
+    """
+    check_trials(trials)
     phat = successes / trials
     z2 = z * z
     denom = 1 + z2 / trials

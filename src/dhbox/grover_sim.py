@@ -21,13 +21,13 @@ both the phase flip (a sign change) and the inversion about the mean
 the state stays in the real plane spanned by the target and the uniform
 vector (Boyer, Brassard, Hoyer and Tapp, 1998).  A ``complex128`` state
 would carry an imaginary half that is exactly 0 and double the bytes
-every step reads and writes.  The step functions are dtype-generic, so
-a complex state evolves as before.
+every step reads and writes.  ``_step`` is dtype-generic, so a complex
+state evolves under it too.
 
 The state is therefore two values: the target's amplitude t and the
 amplitude u that every other entry shares.  A run evolves the pair with
-the float operations that ``_step_in_place`` applies to the vector, so
-its bits equal the vector's and a seeded measurement is unchanged.  The
+the float operations that ``_step`` applies to the vector, so its bits
+equal the vector's and a seeded measurement is unchanged.  The
 mean is the one step that touches every entry: numpy sums an array
 pairwise (Higham, 1993), fewer than 8 items in order from 0.0, 8 to 128
 items in 8 interleaved lanes combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
@@ -37,8 +37,8 @@ subtree of that split without the target sums u alone, so its sum
 depends on its size only, and ``_two_valued_sum`` rebuilds numpy's sum
 in O(log n) float additions from a size tree built once per run.  The
 ``float64`` vector is built once, at the end, for sampling and
-``_check_norm``; ``_step`` and ``_step_in_place`` stay as the array
-reference that tests iterate.
+``_check_norm``; ``_step`` stays as the array reference that tests
+iterate.
 """
 
 from __future__ import annotations
@@ -85,19 +85,13 @@ def _check_norm(amplitudes: np.ndarray) -> None:
 
 def _step(amplitudes: np.ndarray, target: int) -> np.ndarray:
     """One Grover iteration: phase flip at the target, then inversion
-    about the mean.  Returns a new array; the reference for ``_step_in_place``."""
+    about the mean.  Returns a new array; the state-vector reference that
+    ``_two_valued_step`` reproduces bit for bit."""
     amplitudes = amplitudes.copy()
     amplitudes[target] = -amplitudes[target]
     amplitudes = 2 * amplitudes.mean() - amplitudes
     _check_norm(amplitudes)
     return amplitudes
-
-
-def _step_in_place(amplitudes: np.ndarray, target: int) -> None:
-    """``_step`` without the copies: the same operations, so the same bits."""
-    amplitudes[target] = -amplitudes[target]
-    np.subtract(2 * amplitudes.mean(), amplitudes, out=amplitudes)
-    _check_norm(amplitudes)
 
 
 _PW_BLOCKSIZE = 128  # numpy's PW_BLOCKSIZE: blocks up to this size sum in 8 lanes
@@ -189,8 +183,8 @@ def _two_valued_sum(n: int, j: int, u: float, t: float) -> float:
 
 
 def _two_valued_step(n: int, target: int, t: float, u: float) -> tuple:
-    """``_step_in_place`` on a state that is t at the target and u
-    elsewhere: the same float operations, so the same bits."""
+    """``_step`` on a state that is t at the target and u elsewhere: the
+    same float operations, so the same bits."""
     t = -t
     mean = _two_valued_sum(n, target, u, t) / n
     t, u = 2 * mean - t, 2 * mean - u
@@ -221,8 +215,8 @@ def simulate_search(n_states: int, target: int, iterations: int) -> np.ndarray:
     Works for any N >= 2 and any target, with no oracle attached; the
     self-test N = 4, k = 1 hits the textbook exact case.  The state is
     evolved as its two values, the target's amplitude and the one every
-    other entry shares, each step the float operations of
-    ``_step_in_place``: the mean is ``_two_valued_sum`` (numpy's pairwise
+    other entry shares, each step the float operations of ``_step``
+    (the reference): the mean is ``_two_valued_sum`` (numpy's pairwise
     order, rebuilt exactly) over N, so the result equals iterated
     ``_step`` bit for bit.  The ``float64`` vector is built once at the
     end, where ``_check_norm`` checks it; the norm of the two values is

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -8,8 +9,11 @@ import pytest
 
 from dhbox.adversary import (
     ClassifiedVector,
-    _class_counts,
+    _admissible_pairs,
+    _first_max,
     _first_vector,
+    _key_top,
+    _type_pairs,
     adversary_bounds,
     case_count_extremes,
     classify,
@@ -59,6 +63,53 @@ def _hyperplane_counts(p):
     return pos_on, neg_on, n_pos - pos_on, n_neg - neg_on
 
 
+def _class_counts(p):
+    """Reference per-query counts over the p^2 + p + 1 projective query
+    classes, as numpy arrays in the walk's class order.
+
+    Each class is given by its lexicographically first member: (0,0,1),
+    then (0,1,x), then (1,a,b).  Returns the class coordinates and flat
+    arrays of the number of positive vectors on the hyperplane of h, the
+    number of negative ones, and their complements off the hyperplane.
+    The positives on the hyperplane are the nonzero roots x of
+    h1 x^2 + S x + h2 with S = h0 + h1 + h2, read from a table of the
+    squares mod p.
+    """
+    rest = np.arange(p * p, dtype=np.int64)
+    h0 = np.concatenate((np.zeros(p + 1, dtype=np.int64), np.ones(p * p, dtype=np.int64)))
+    h1 = np.concatenate(([0], np.ones(p, dtype=np.int64), rest // p))
+    h2 = np.concatenate(([1], np.arange(p, dtype=np.int64), rest % p))
+    square = np.zeros(p, dtype=bool)
+    square[np.arange(p, dtype=np.int64) ** 2 % p] = True
+    s = (h0 + h1 + h2) % p
+    disc = (s * s - 4 * h1 * h2) % p
+    roots = np.where(disc == 0, 1, 2 * square[disc])
+    pos_on = np.where(
+        h1 != 0, roots - (h2 == 0), (h2 != 0) & ((h0 + h2) % p != 0)
+    ).astype(np.int64)
+    # Points on a hyperplane: p when (h1, h2) != 0; only h = (1,0,0) has none.
+    total_on = np.where((h1 != 0) | (h2 != 0), p, 0)
+    neg_on = total_on - pos_on
+    n_pos = p - 1
+    n_neg = p * p - p + 1
+    return (h0, h1, h2), pos_on, neg_on, n_pos - pos_on, n_neg - neg_on
+
+
+def _reference_pairs(p):
+    """The admissible (h0, h1, h2, kind, a, b) rows of the class table.
+
+    Candidate j = 2*i + kind for class i, kind A (0) before kind B (1):
+    a is the row sum at the positive vector, b the one at the negative
+    vector, and a candidate is admissible when both are at least 1.
+    """
+    (h0, h1, h2), pos_on, neg_on, pos_off, neg_off = _class_counts(p)
+    a = np.stack([neg_off, neg_on], axis=1).ravel()
+    b = np.stack([pos_on, pos_off], axis=1).ravel()
+    j = np.flatnonzero((a >= 1) & (b >= 1))
+    i, kind = j // 2, j % 2
+    return np.stack([h0[i], h1[i], h2[i], kind, a[j], b[j]], axis=1)
+
+
 def reference_first_vector(p, positive, h, answer):
     """Reference witness search: the p^2 scan in lexicographic order."""
     for n1 in range(p):
@@ -71,6 +122,7 @@ def reference_first_vector(p, positive, h, answer):
 
 
 PRIMES_TO_61 = [q for q in range(3, 62) if is_prime(q)]
+PRIMES_BELOW_250 = [q for q in range(3, 250) if is_prime(q)]
 
 
 def brute_force_minima(p):
@@ -352,9 +404,48 @@ def test_adversary_closed_forms_below_250_and_at_1009():
         assert rep.witness_randomized.h == rep.witness_quantum.h == (0, 1, 2)
 
 
+def test_walk_streams_the_class_table_below_250():
+    # With no early exit, the walk yields exactly the table's admissible
+    # candidates in the table's order; every (kind, a, b) is one of the
+    # four class types, so no key exceeds its top; and the early-exit
+    # maximum is the first maximum of the full stream, for the two ratio
+    # keys of adversary_bounds and the two counts of case_count_extremes.
+    for p in PRIMES_BELOW_250:
+        stream = list(_admissible_pairs(p))
+        rows = np.array([(*h, kind, a, b) for h, kind, a, b in stream], dtype=np.int64)
+        assert np.array_equal(rows, _reference_pairs(p)), p
+        types = {pair for pairs in _type_pairs(p).values() for pair in pairs}
+        assert {cand[1:] for cand in stream} <= types, p
+        kind, a, b = rows[:, 3], rows[:, 4], rows[:, 5]
+        sp, sn = p * p - p + 1, p - 1
+        for key, values in (
+            (lambda kind, a, b: min(sn * a, sp * b), np.minimum(sn * a, sp * b)),
+            (lambda kind, a, b: a * b, a * b),
+            (lambda kind, a, b: b * (1 - kind), b * (1 - kind)),
+            (lambda kind, a, b: a * kind, a * kind),
+        ):
+            assert values.max() <= _key_top(p, key), p
+            first = int(np.argmax(values))
+            assert _first_max(p, key) == (values[first], stream[first]), p
+
+
+def test_adversary_closed_forms_at_61_bit_primes():
+    # The walk stops at the fourth class at any modulus, so the report at
+    # the largest supported primes takes well under a second.
+    for p in (2**61 - 1, 27 * 2**56 + 1):
+        start = time.perf_counter()
+        rep = adversary_bounds(p, force=True)
+        assert time.perf_counter() - start < 1.0
+        assert rep.worst_ratio_randomized == Fraction(p - 1, 2)
+        assert rep.worst_ratio_quantum_squared == Fraction(
+            (p * p - p + 1) * (p - 1), 2 * (p * p - 2 * p + 3)
+        )
+        assert rep.witness_randomized.h == rep.witness_quantum.h == (0, 1, 2)
+
+
 def test_adversary_memory_is_quadratic():
-    # The p^3 count arrays took 162 MB at p = 101; the class table needs
-    # about 2 MB.
+    # The p^3 count arrays took 162 MB at p = 101; the walk over the
+    # query classes holds no array at all.
     tracemalloc.start()
     try:
         adversary_bounds(101, force=True)

@@ -373,6 +373,37 @@ def test_secret_from_cdh_dishonest_oracle():
     assert c7.calls == 0 and o2.queries == 0
 
 
+# CDH answers that are no element of the group G_{7,1}: one of level 2 and
+# one modulo 11.
+OUTSIDE_ANSWERS = {
+    "level-2": lambda: elem(PrimeModulus(7), 1, 2, 3),
+    "modulus-11": lambda: elem(PrimeModulus(11), 5, 3),
+}
+
+
+@pytest.mark.parametrize("answer", sorted(OUTSIDE_ANSWERS))
+@pytest.mark.parametrize("reduction", ["secret_from_cdh", "secret_from_cdh_random"])
+def test_cdh_answer_outside_the_group_is_dishonest(reduction, answer):
+    # The answer is checked against the identity oracle before its
+    # coordinates are read: no root is tested after the CDH call.
+    pm = PrimeModulus(7)
+    o = IdentityOracle.level1(pm, 3)
+    at_call = []
+
+    def solver(g, h, k):
+        at_call.append(o.queries)
+        return OUTSIDE_ANSWERS[answer]()
+
+    c = CdhOracle(solver, pm)
+    run = {
+        "secret_from_cdh": lambda: secret_from_cdh(c, o),
+        "secret_from_cdh_random": lambda: secret_from_cdh_random(c, o, np.random.default_rng(0)),
+    }[reduction]
+    with pytest.raises(DishonestOracleError, match="not an element of the group"):
+        run()
+    assert c.calls == 1 and at_call == [o.queries]
+
+
 def test_secret_from_cdh_random_outcomes():
     pm = PrimeModulus(11)
     hits = 0

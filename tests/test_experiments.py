@@ -26,7 +26,8 @@ ESCROW = Escrow()
 def test_wilson_interval_sanity():
     low, high = wilson_interval(50, 100, z=3.0)
     assert low < 0.5 < high
-    assert wilson_interval(0, 0) == (0.0, 1.0)
+    with pytest.raises(ValueError):
+        wilson_interval(0, 0)
     low, high = wilson_interval(100, 100, z=3.0)
     assert high == pytest.approx(1.0) and low > 0.9
     # wider z widens the interval

@@ -10,7 +10,6 @@ from dhbox.grover_sim import (
     GroverRun,
     NormDriftError,
     _step,
-    _step_in_place,
     _two_valued_step,
     _two_valued_sum,
     closed_form_success,
@@ -67,18 +66,6 @@ def test_in_place_steps_match_copying_reference():
             k += 1
         (point,) = quantum_query_curve([p])
         assert (point.iterations, point.success_probability) == (k, float(abs(amp[0]) ** 2))
-
-
-def test_norm_checked_after_in_place_step():
-    amp = np.full(8, 0.5, dtype=np.complex128)  # norm sqrt(2)
-    with pytest.raises(NormDriftError):
-        _step_in_place(amp, 0)
-
-
-def test_norm_checked_after_in_place_step_on_real_state():
-    amp = np.full(8, 0.5)  # float64, the simulator's dtype; norm sqrt(2)
-    with pytest.raises(NormDriftError):
-        _step_in_place(amp, 0)
 
 
 def _complex_reference(p, target, k):
@@ -245,10 +232,10 @@ def test_simulate_search_is_iterated_step_at_boundary_targets():
 
 
 def _array_grover_run(p, target, k, seed):
-    """The state-vector search: k in-place steps, then sampling."""
+    """The state-vector search: k steps of ``_step``, then sampling."""
     amp = np.full(p, 1 / math.sqrt(p), dtype=np.float64)
     for _ in range(k):
-        _step_in_place(amp, target)
+        amp = _step(amp, target)
     probs = np.square(amp)
     measured = int(np.random.default_rng(seed).choice(p, p=probs / probs.sum()))
     return GroverRun(
@@ -274,7 +261,7 @@ def test_curve_equals_the_array_path_below_2000():
         amp = np.full(p, 1 / math.sqrt(p), dtype=np.float64)
         k = 0
         while abs(amp[0]) ** 2 < 2 / 3:
-            _step_in_place(amp, 0)
+            amp = _step(amp, 0)
             k += 1
         assert (point.p, point.iterations, point.success_probability) == (p, k, float(abs(amp[0]) ** 2))
 

@@ -95,6 +95,18 @@ else:
     raise AssertionError("an unknown attribute was found")
 """
 
+ADVERSARY_WITHOUT_NUMPY = r"""
+import sys
+
+import dhbox
+from dhbox.adversary import case_count_extremes
+
+report = dhbox.adversary_bounds(31, force=True)
+extremes = case_count_extremes(31)
+assert (str(report.worst_ratio_randomized), extremes) == ("15", (2, 31)), (report, extremes)
+assert "numpy" not in sys.modules, "the adversary study loaded numpy"
+"""
+
 
 def _run_fresh(code):
     env = dict(os.environ)
@@ -114,3 +126,9 @@ def test_study_names_load_on_first_access():
     # Every name of __all__ is reachable, by attribute, by dir() and by a
     # star import, and each study name is its module's own object.
     _run_fresh(STUDY_NAMES)
+
+
+def test_adversary_study_runs_without_numpy():
+    # The adversary bounds and the case counts walk the query classes in
+    # plain integers, so neither loads numpy.
+    _run_fresh(ADVERSARY_WITHOUT_NUMPY)
