@@ -178,35 +178,32 @@ def _key_top(p: int, key) -> int:
 def _first_max(p: int, key):
     """The largest key(kind, a, b) over the walk and its first (h, kind, a, b).
 
-    The walk keeps the first strict maximum and stops when it reaches
-    ``_key_top``, so the result is the first maximum over every class.
-    The class (1,0,p-1) admits kind B at every odd p, so there is one.
+    Every one of the four class types is met by some class, so
+    ``_key_top`` is reached, and the result is the first walked class
+    whose key equals it: the first maximum over every class.
     """
     top = _key_top(p, key)
-    best = (-1, None)
-    for cand in _admissible_pairs(p):
-        k = key(*cand[1:])
-        if k > best[0]:
-            best = (k, cand)
-            if k == top:
-                break
-    return best
+    return top, next(cand for cand in _admissible_pairs(p) if key(*cand[1:]) == top)
 
 
 def case_count_extremes(p: int):
-    """Largest restricted row sums over all admissible (n, n', h).
+    """Largest restricted row sums over all admissible (n, n', h): (2, p).
 
     For a pair distinguished by h, the negative side answering 0 has row
     sum equal to the number of positives on the hyperplane (at most 2:
     they are roots of a nonzero quadratic), and the positive side
     answering 0 has row sum equal to the number of negatives on the
     hyperplane (at most p: a nonzero linear equation).  Returns the
-    observed maxima of the two counts: b over kind A, a over kind B.
+    maxima of the two counts, b over kind A and a over kind B, as
+    ``_key_top`` of each, and both bounds are met at every odd prime:
+    the hyperplane through two of the p - 1 >= 2 positives holds exactly
+    2 positives, where kind A is admissible, and (1,0,-1) holds no
+    positive, where kind B is admissible with a = p.
     """
     PrimeModulus(p)
     return (
-        _first_max(p, lambda kind, a, b: b * (1 - kind))[0],
-        _first_max(p, lambda kind, a, b: a * kind)[0],
+        _key_top(p, lambda kind, a, b: b * (1 - kind)),
+        _key_top(p, lambda kind, a, b: a * kind),
     )
 
 

@@ -205,26 +205,39 @@ def ddh_decide_level1(oracle, inst: DHInstance, check_generator: bool = True) ->
     return 0 if first_on_line(oracle, _roots_int(a2, a1, a0, inst.modulus.p)) is None else 1
 
 
+def _dlog_rule(dlog: DlogOracle, g: GroupElement, h: GroupElement) -> Optional[Residue]:
+    """The secret from one DLOG call on (g, h), or None.
+
+    With answer d, taken through ``operator.index`` so that a fixed-width
+    integer cannot wrap, h - d*g lies on the hidden line, so the secret
+    is -(h0 - d*g0) / (h1 - d*g1) unless the divisor vanishes.
+    """
+    p = dlog.modulus.p
+    d = operator.index(dlog(g, h))
+    (g0, g1), (h0, h1) = g.coords, h.coords
+    den = (h1 - d * g1) % p
+    if den == 0:
+        return None
+    return Residue(-(h0 - d * g0) * _inv_int(den, p), dlog.modulus)
+
+
 def secret_from_dlog(dlog: DlogOracle) -> Residue:
     """Recover the hidden secret with a single DLOG call.
 
-    (1, 0) generates the group whatever the secret is, and (0, 1) has
-    label equal to the secret, so the discrete logarithm of that pair is
-    the secret itself.  No identity queries are spent.
+    The DLOG rule on g = (1, 0), which generates the group whatever the
+    secret is, and h = (0, 1): the divisor is 1, so the secret is the
+    answer itself, reduced mod p.  No identity queries are spent.
     """
     modulus = dlog.modulus
-    g = GroupElement((1, 0), modulus)
-    h = GroupElement((0, 1), modulus)
-    return Residue(dlog(g, h), modulus)
+    return _dlog_rule(dlog, GroupElement((1, 0), modulus), GroupElement((0, 1), modulus))
 
 
 def secret_from_dlog_random(dlog: DlogOracle, rng) -> Optional[Residue]:
     """Secret recovery from one DLOG call on a random instance.
 
     Draws (g, h) uniformly, resampling when the handle rejects a
-    non-generator g.  With answer d, h - d*g lies on the hidden line, so
-    the secret is -(h0 - d*g0) / (h1 - d*g1) unless the divisor vanishes;
-    that degenerate draw has probability 1/p and yields None.
+    non-generator g, and applies the DLOG rule; its degenerate draw,
+    a vanishing divisor, has probability 1/p and yields None.
     """
     modulus = dlog.modulus
     p = modulus.p
@@ -233,66 +246,68 @@ def secret_from_dlog_random(dlog: DlogOracle, rng) -> Optional[Residue]:
         g = GroupElement((int(coords[0]), int(coords[1])), modulus)
         h = GroupElement((int(coords[2]), int(coords[3])), modulus)
         try:
-            d = dlog(g, h)
+            return _dlog_rule(dlog, g, h)
         except NotAGeneratorError:
             continue
-        den = (h.coords[1] - d * g.coords[1]) % p
-        if den == 0:
-            return None
-        num = -(h.coords[0] - d * g.coords[0])
-        return Residue(num * _inv_int(den, p), modulus)
     raise DishonestOracleError(
         f"no generator accepted in {_MAX_RESAMPLES} draws"
     )
 
 
-def _cdh_quadruple(cdh: CdhOracle, oracle, g: GroupElement, h: GroupElement, k: GroupElement) -> DHInstance:
-    """(g, h, k) and the CDH answer, held to ``DHInstance.check``.
+def _cdh_rule(cdh: CdhOracle, oracle, g: GroupElement, h: GroupElement, k: GroupElement) -> Optional[Residue]:
+    """The secret from one CDH call on (g, h, k), or None.
 
-    An answer of another modulus or width is no element of the oracle's
-    group, so the CDH oracle lied: :class:`DishonestOracleError`, before
-    any further query.
+    An answer l that is no element of the oracle's group (no
+    ``GroupElement``, or one that fails ``DHInstance.check``) raises
+    :class:`DishonestOracleError` before any query.  Otherwise the
+    secret is a root of the quadruple polynomial of (g, h, k, l) when its
+    quadratic coefficient is nonzero, and at most two identity queries
+    pick it out; if none passes, the answer was wrong and raises
+    :class:`DishonestOracleError`.  A vanishing quadratic coefficient is
+    a degenerate draw and yields None.
     """
-    quadruple = DHInstance(g, h, k, cdh(g, h, k))
+    modulus = cdh.modulus
+    l = cdh(g, h, k)
+    quadruple = DHInstance(g, h, k, l)
     try:
-        return quadruple.check(oracle)
+        if not isinstance(l, GroupElement):
+            raise ValueError(f"{l!r} is no GroupElement")
+        quadruple.check(oracle)
     except ValueError as e:
         raise DishonestOracleError(f"the CDH answer is not an element of the group: {e}") from e
+    a2, a1, a0 = dh_polynomial(quadruple)
+    if a2 == 0:
+        return None
+    s = first_on_line(oracle, _roots_int(a2, a1, a0, modulus.p))
+    if s is None:
+        raise DishonestOracleError("no root of the CDH answer passes the identity test")
+    return Residue(s, modulus)
 
 
 def secret_from_cdh(cdh: CdhOracle, oracle) -> Residue:
     """Recover the hidden secret with a single CDH call.
 
-    Asks the oracle to complete g = (1,0), h = (0,1), k = (1,1); an
-    oracle they are not queries of is refused before the call.  For the
-    answer l, the quadruple polynomial is -x^2 + (l1 - 1)x + l0, so the
-    secret solves x^2 + (1 - l1)x - l0 = 0, and at most two identity
-    queries pick out which of its roots is the secret.  An answer outside
-    the oracle's group raises :class:`DishonestOracleError` first.
+    The CDH rule on g = (1,0), h = (0,1), k = (1,1); an oracle they are
+    not queries of is refused before the call.  For the answer l the
+    quadruple polynomial is -x^2 + (l1 - 1)x + l0, never degenerate, so
+    at most two identity queries pick out which of its roots is the
+    secret.
     """
     modulus = cdh.modulus
-    p = modulus.p
     g = GroupElement((1, 0), modulus)
     h = GroupElement((0, 1), modulus)
     k = GroupElement((1, 1), modulus)
     DHInstance(g, h, k).check(oracle)
-    l0, l1 = _cdh_quadruple(cdh, oracle, g, h, k).l.coords
-    s = first_on_line(oracle, _roots_int(1, 1 - l1, -l0, p))
-    if s is None:
-        raise DishonestOracleError("no root of the CDH answer passes the identity test")
-    return Residue(s, modulus)
+    return _cdh_rule(cdh, oracle, g, h, k)
 
 
 def secret_from_cdh_random(cdh: CdhOracle, oracle, rng) -> Optional[Residue]:
     """Secret recovery from one CDH call on a random instance.
 
     Draws (g, h, k) with g screened to be a generator (each screening
-    attempt costs one identity query).  The answer l gives the quadruple
-    polynomial; when its quadratic coefficient g1*l1 - h1*k1 is nonzero
-    the secret is among its at most two roots and the identity oracle
-    selects it.  A degenerate (lower-degree) draw yields None; that
-    happens with probability at most 2/p.  An answer outside the oracle's
-    group raises :class:`DishonestOracleError` before any root is tested.
+    attempt costs one identity query) and applies the CDH rule.  Its
+    degenerate draw, a vanishing quadratic coefficient g1*l1 - h1*k1,
+    happens with probability at most 2/p and yields None.
     """
     modulus = cdh.modulus
     p = modulus.p
@@ -309,11 +324,7 @@ def secret_from_cdh_random(cdh: CdhOracle, oracle, rng) -> Optional[Residue]:
     coords = rng.integers(0, p, size=4)
     h = GroupElement((int(coords[0]), int(coords[1])), modulus)
     k = GroupElement((int(coords[2]), int(coords[3])), modulus)
-    a2, a1, a0 = dh_polynomial(_cdh_quadruple(cdh, oracle, g, h, k))
-    if a2 == 0:
-        return None
-    s = first_on_line(oracle, _roots_int(a2, a1, a0, p))
-    return None if s is None else Residue(s, modulus)
+    return _cdh_rule(cdh, oracle, g, h, k)
 
 
 def brute_force_secret(oracle, rng=None) -> Residue:
@@ -609,16 +620,11 @@ class EmbeddedOracle(OracleBase):
         return i
 
     def reveal_normal(self, escrow: Escrow) -> Tuple[int, ...]:
-        """(1, a_2, a_3, a_4): the exponents, by direct scan (test only)."""
+        """(1, a_2, a_3, a_4): the exponents, each one discrete log to
+        base g_1 by :func:`_first_power` (test only)."""
         _check_escrow(escrow)
-        g1 = self.generators[0]
-        p = self.modulus.p
-        table = {}
-        acc = 1
-        for e in range(p):
-            table[acc] = e
-            acc = acc * g1 % self.q
-        return (1,) + tuple(table[g] for g in self.generators[1:])
+        g1, *rest = self.generators
+        return (1,) + tuple(_first_power(g1, g, self.modulus.p, self.q) for g in rest)
 
 
 def embed_generic_group(modulus: PrimeModulus, q: int, generators: Tuple[int, int, int, int]):

@@ -514,12 +514,6 @@ def _check_line(oracle, base: Sequence[int], step: Sequence[int]) -> None:
 # The native integer formats of a buffer that a scan reads in numpy.
 _INT_FORMATS = frozenset("bBhHiIlLqQ")
 
-# numpy scans a buffer in chunks from 256 elements up, 4 times longer each
-# time and at most 2^16 long: an early hit costs one short pass, a miss
-# one pass per chunk, and the temporaries stay under a megabyte.
-_FIRST_CHUNK = 256
-_LAST_CHUNK = 1 << 16
-
 
 def _index_length(candidates) -> Optional[int]:
     """The number of candidates of a scan that can index them, or None.
@@ -554,21 +548,16 @@ def _first_residue(buffer, p: int, t: int) -> Optional[int]:
     that can reach it before numpy is loaded.  numpy refuses a remainder
     by a p that the values' own type cannot hold, so formats narrower
     than 64 bits are widened to int64 first; every modulus is below
-    2^61, so int64 and uint64 hold it.
+    2^61, so int64 and uint64 hold it.  One pass over the whole buffer,
+    whose temporaries are the 64-bit values and their remainders, one
+    byte per value for the mask, and the indices of the hits.
     """
     import numpy as np
 
     values = np.asarray(buffer)
     work = np.int64 if values.dtype.itemsize < 8 else values.dtype
-    start, size = 0, _FIRST_CHUNK
-    while start < len(values):
-        chunk = values[start : start + size].astype(work, copy=False)
-        hits = np.flatnonzero(chunk % p == t)
-        if hits.size:
-            return start + int(hits[0])
-        start += size
-        size = min(4 * size, _LAST_CHUNK)
-    return None
+    hits = np.flatnonzero(values.astype(work, copy=False) % p == t)
+    return int(hits[0]) if hits.size else None
 
 
 def _line_point(start: list, moving: list, x: int, p: int) -> Tuple[int, ...]:

@@ -443,6 +443,12 @@ def test_adversary_closed_forms_at_61_bit_primes():
         assert rep.witness_randomized.h == rep.witness_quantum.h == (0, 1, 2)
 
 
+def test_case_count_extremes_closed_form_at_61_bit_primes():
+    # (2, p) with no walk: the same pair the reference counts give below 62.
+    for p in (2**61 - 1, 27 * 2**56 + 1):
+        assert case_count_extremes(p) == (2, p)
+
+
 def test_adversary_memory_is_quadratic():
     # The p^3 count arrays took 162 MB at p = 101; the walk over the
     # query classes holds no array at all.

@@ -291,6 +291,22 @@ def test_secret_from_dlog_random_resamples_non_generators():
     assert d.calls >= len(seen)
 
 
+@pytest.mark.parametrize("reduction", ["secret_from_dlog", "secret_from_dlog_random"])
+def test_dlog_answer_as_int64_at_the_largest_modulus(reduction):
+    # An honest answer as np.int64 is read as an exact int: d*g1 would
+    # wrap in int64 arithmetic at p = 2^61 - 1.
+    pm = PrimeModulus(2**61 - 1)
+    for seed in range(20):
+        s = int(np.random.default_rng(seed).integers(0, pm.p))
+        honest = honest_dlog_oracle(IdentityOracle.level1(pm, s), ESCROW)
+        d = DlogOracle(lambda g, h: np.int64(honest(g, h)), pm)
+        run = {
+            "secret_from_dlog": lambda: secret_from_dlog(d),
+            "secret_from_dlog_random": lambda: secret_from_dlog_random(d, np.random.default_rng(seed)),
+        }[reduction]
+        assert run().value == s
+
+
 # ----------------------------------------------------------- secret from CDH
 
 
@@ -373,11 +389,13 @@ def test_secret_from_cdh_dishonest_oracle():
     assert c7.calls == 0 and o2.queries == 0
 
 
-# CDH answers that are no element of the group G_{7,1}: one of level 2 and
-# one modulo 11.
+# CDH answers that are no element of the group G_{7,1}: one of level 2,
+# one modulo 11, and two that are no GroupElement at all.
 OUTSIDE_ANSWERS = {
     "level-2": lambda: elem(PrimeModulus(7), 1, 2, 3),
     "modulus-11": lambda: elem(PrimeModulus(11), 5, 3),
+    "none": lambda: None,
+    "tuple": lambda: (1, 2),
 }
 
 
@@ -402,6 +420,27 @@ def test_cdh_answer_outside_the_group_is_dishonest(reduction, answer):
     with pytest.raises(DishonestOracleError, match="not an element of the group"):
         run()
     assert c.calls == 1 and at_call == [o.queries]
+
+
+def test_secret_from_cdh_random_refuses_a_lying_answer():
+    # A handle that always answers (1, 0) gets the secret right only by
+    # chance; when no root of its polynomial passes the identity test the
+    # random path refuses it, as the fixed path does, and it never
+    # returns a wrong secret.
+    pm = PrimeModulus(7)
+    outcomes = []
+    for seed in range(40):
+        o = IdentityOracle.level1(pm, 3)
+        liar = CdhOracle(lambda g, h, k: elem(pm, 1, 0), pm)
+        try:
+            got = secret_from_cdh_random(liar, o, np.random.default_rng(seed))
+        except DishonestOracleError:
+            outcomes.append("refused")
+        else:
+            outcomes.append(None if got is None else got.value)
+        assert liar.calls == 1
+    assert set(outcomes) <= {None, 3, "refused"}
+    assert "refused" in outcomes
 
 
 def test_secret_from_cdh_random_outcomes():
@@ -765,6 +804,17 @@ def test_embedded_oracle_hidden_vector():
     before = oracle.mults
     oracle.query_coords((1, 0, 0, 0))
     assert oracle.mults > before  # exponentiation cost is accounted
+
+
+def test_embedded_oracle_reveals_known_exponents_at_a_large_modulus():
+    # Each exponent is one discrete log to base g_1, with no p-entry table.
+    pm, q = PrimeModulus(1000003), 36 * 1000003 + 1
+    g1 = _subgroup_generator(pm.p, q)
+    exponents = (0, 1, pm.p - 1), (123457, 999999, 500001)
+    for a in exponents:
+        oracle = EmbeddedOracle(pm, q, (g1,) + tuple(pow(g1, e, q) for e in a))
+        assert oracle.reveal_normal(ESCROW) == (1, *a)
+        assert oracle.queries == oracle.mults == 0
 
 
 # ------------------------------------------------- embedded line-scan kernel

@@ -445,7 +445,7 @@ def _indexed_scans(draw):
         kind = draw(st.sampled_from(sorted(_FORMATS)))
         lo, hi = _FORMATS[kind]
         # Negative values, values >= p and, for 64-bit unsigned, >= 2^63;
-        # a seeded filler in front makes scans that outrun the first chunk.
+        # a seeded filler in front makes long scans with a late hit or none.
         items = draw(st.lists(st.integers(lo, hi) | st.integers(max(lo, -2 * small), min(hi, 2 * small)), max_size=3 * small))
         rng = np.random.default_rng(draw(st.integers(0, 2**32)))
         filler = rng.integers(lo, hi, size=draw(st.sampled_from((0, 0, 300, 1500))), endpoint=True, dtype=np.dtype(kind))
