@@ -11,59 +11,33 @@ becomes a hyperplane membership test.
 
 import numpy as np
 
-from dhbox import (
-    DHInstance,
-    GroupElement,
-    IdentityOracle,
-    PrimeModulus,
-    ddh_decide_by_search,
-    ddh_decide_level1,
-    embed_generic_group,
-    lift_instance,
-    lift_oracle,
-    project_cdh_answer,
-)
+from dhbox import DHInstance, GroupElement, PrimeModulus, lift_instance, project_cdh_answer
+from dhbox.experiments import run_embedding, run_lift_agreement
 
 SEED = 5
 
 # --- level lifting -------------------------------------------------------
 P = 7
 modulus = PrimeModulus(P)
-rng = np.random.default_rng(SEED)
 print(f"lifting level-1 instances over p = {P}:")
-agree = 0
-for _ in range(200):
-    s = int(rng.integers(0, P))
-    oracle = IdentityOracle.level1(modulus, s)
-
-    def draw():
-        return GroupElement((int(rng.integers(0, P)), int(rng.integers(0, P))), modulus)
-
-    g = draw()
-    while (g.coords[0] + g.coords[1] * s) % P == 0:
-        g = draw()
-    inst = DHInstance(g, draw(), draw(), draw())
-    fast = ddh_decide_level1(oracle, inst, check_generator=False)
-    lifted = lift_instance(inst)
-    searched = ddh_decide_by_search(lift_oracle(oracle), lifted)
-    assert project_cdh_answer(lifted.l) == inst.l
-    agree += fast == searched
-print(f"  200/200 projected answers round-trip; {agree}/200 decisions agree "
-      f"between the level-1 polynomial algorithm and exhaustive search one level up\n")
+inst = DHInstance(*(GroupElement(c, modulus) for c in ((1, 0), (0, 1), (2, 3), (4, 5))))
+lifted = lift_instance(inst)
+assert project_cdh_answer(lifted.l) == inst.l
+print(f"  the answer {inst.l.coords} lifts to {lifted.l.coords} and projects back to "
+      f"{project_cdh_answer(lifted.l).coords}")
+agree = run_lift_agreement(P, 200, SEED)
+print(f"  {agree}/200 decisions agree between the level-1 polynomial algorithm "
+      f"and exhaustive search one level up\n")
 
 # --- embedding a multiplicative subgroup ---------------------------------
 P, Q = 11, 23  # 23 = 2*11 + 1, so the units mod 23 have an order-11 subgroup
-modulus = PrimeModulus(P)
-g1 = 2
-print(f"embedding the order-{P} subgroup of the units mod {Q} (generator {g1}):")
+print(f"embedding the order-{P} subgroup of the units mod {Q}:")
 rng = np.random.default_rng(SEED)
 for _ in range(4):
     a, b = int(rng.integers(0, P)), int(rng.integers(0, P))
     honest = rng.random() < 0.5
     c = a * b % P if honest else (a * b + 1 + int(rng.integers(0, P - 1))) % P
-    gens = (g1, pow(g1, a, Q), pow(g1, b, Q), pow(g1, c, Q))
-    oracle, inst = embed_generic_group(modulus, Q, gens)
-    got = ddh_decide_by_search(oracle, inst)
+    gens, got, expected, oracle = run_embedding(P, Q, a, b, c)
     print(f"  elements {gens} (exponents a={a}, b={b}, c={c}): "
-          f"decision {'yes' if got else 'no'}, expected {'yes' if c == a * b % P else 'no'}; "
+          f"decision {'yes' if got else 'no'}, expected {'yes' if expected else 'no'}; "
           f"{oracle.queries} oracle queries, {oracle.mults} modular multiplications")

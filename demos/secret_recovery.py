@@ -9,18 +9,8 @@ through both reductions and their random-instance variants.
 
 import numpy as np
 
-from dhbox import (
-    Escrow,
-    IdentityOracle,
-    PrimeModulus,
-    brute_force_secret,
-    honest_cdh_oracle,
-    honest_dlog_oracle,
-    secret_from_cdh,
-    secret_from_cdh_random,
-    secret_from_dlog,
-    secret_from_dlog_random,
-)
+from dhbox import IdentityOracle, PrimeModulus, run_reduction_success
+from dhbox.experiments import recover_secret
 
 P = 101
 SEED = 7
@@ -30,45 +20,24 @@ modulus = PrimeModulus(P)
 secret = int(rng.integers(0, P))
 print(f"hidden secret (escrow side only): s = {secret}, p = {P}\n")
 
-escrow = Escrow()
-
-# Baseline: exhaustive search through the oracle.
-oracle = IdentityOracle.level1(modulus, secret)
-found = brute_force_secret(oracle, rng)
-print(f"brute force      -> s = {found.value:3d}   identity queries: {oracle.queries}")
-
-# One DLOG call on the fixed pair ((1,0), (0,1)): the answer IS the secret,
-# because (1,0) has coset label 1 and (0,1) has label s.
-oracle = IdentityOracle.level1(modulus, secret)
-dlog = honest_dlog_oracle(oracle, escrow)
-found = secret_from_dlog(dlog)
-print(f"via DLOG oracle  -> s = {found.value:3d}   DLOG calls: {dlog.calls}, "
-      f"identity queries: {oracle.queries}")
-
-# One CDH call on g=(1,0), h=(0,1), k=(1,1): the answer pins s down to the
-# two roots of a quadratic, and at most two identity queries finish the job.
-oracle = IdentityOracle.level1(modulus, secret)
-cdh = honest_cdh_oracle(oracle, escrow)
-found = secret_from_cdh(cdh, oracle)
-print(f"via CDH oracle   -> s = {found.value:3d}   CDH calls: {cdh.calls}, "
-      f"identity queries: {oracle.queries}")
+# Exhaustive search through the oracle is the baseline.  One DLOG call on
+# the fixed pair ((1,0), (0,1)) answers the secret itself, because (1,0)
+# has coset label 1 and (0,1) has label s.  One CDH call on g=(1,0),
+# h=(0,1), k=(1,1) pins s down to the two roots of a quadratic, and at
+# most two identity queries pick it out.
+for algo, label in (("brute-random", "brute force"), ("dlog", "via DLOG oracle"),
+                    ("cdh", "via CDH oracle")):
+    oracle = IdentityOracle.level1(modulus, secret)
+    found, dlog_calls, cdh_calls = recover_secret(algo, oracle, rng)
+    assert found.value == secret
+    print(f"{label:<16} -> s = {found.value:3d}   DLOG calls: {dlog_calls}, "
+          f"CDH calls: {cdh_calls}, identity queries: {oracle.queries}")
 
 # The same reductions work on uniformly random instances, failing only on
 # degenerate draws (probability about 1/p and 2/p respectively).
 print("\nrandom-instance variants over 2000 draws:")
-for name, run in (
-    ("DLOG", lambda o, r: secret_from_dlog_random(honest_dlog_oracle(o, escrow), r)),
-    ("CDH ", lambda o, r: secret_from_cdh_random(honest_cdh_oracle(o, escrow), o, r)),
-):
-    hits = degenerate = 0
-    for i in range(2000):
-        trial = np.random.default_rng([SEED, i])
-        o = IdentityOracle.level1(modulus, secret)
-        got = run(o, trial)
-        if got is None:
-            degenerate += 1
-        else:
-            assert got.value == secret
-            hits += 1
-    print(f"  {name}: recovered {hits}, degenerate draws {degenerate} "
-          f"(rate {hits / 2000:.4f})")
+for row in run_reduction_success(P, 2000, SEED):
+    print(f"  {row.algorithm:<11}: recovered {row.successes} (rate {row.rate:.4f}, "
+          f"bound {row.bound:.4f}, consistent: {row.consistent_with_bound}); "
+          f"{row.mean_oracle_calls:.3f} oracle calls and "
+          f"{row.mean_id_queries:.3f} identity queries per draw")

@@ -81,12 +81,17 @@ class DHInstance(NamedTuple):
 
     def check(self, oracle) -> "DHInstance":
         """Refuse, before the first query or call, an element that is not
-        a query of ``oracle``: of another modulus or width (level + 1)."""
+        a query of ``oracle``: no ``GroupElement`` (nothing with a modulus
+        and coordinates, such as a tuple, or None anywhere but a missing
+        l), or one of another modulus or width (level + 1)."""
         p, width = oracle.modulus.p, oracle.level + 1
-        for e in self:
-            if e is not None and (e.modulus.p != p or len(e.coords) != width):
-                _require_same_modulus(oracle, e)
-                _check_width(oracle, len(e.coords))
+        try:
+            for e in self if self.l is not None else self[:3]:
+                if e.modulus.p != p or len(e.coords) != width:
+                    _require_same_modulus(oracle, e)
+                    _check_width(oracle, len(e.coords))
+        except AttributeError:
+            raise ValueError(f"{e!r} is not a GroupElement") from None
         return self
 
 
@@ -192,7 +197,7 @@ def ddh_decide_level1(oracle, inst: DHInstance, check_generator: bool = True) ->
     validate the promise that g generates the group; disable it when the
     promise is already established and exact per-instance counts matter.
     """
-    if inst.level != 1:
+    if getattr(inst.g, "level", 1) != 1:  # a g that is no element fails the check
         raise ValueError(f"level-1 instance required, got level {inst.level}")
     if inst.l is None:
         raise ValueError("DDH needs a full quadruple, l is missing")
@@ -210,10 +215,15 @@ def _dlog_rule(dlog: DlogOracle, g: GroupElement, h: GroupElement) -> Optional[R
 
     With answer d, taken through ``operator.index`` so that a fixed-width
     integer cannot wrap, h - d*g lies on the hidden line, so the secret
-    is -(h0 - d*g0) / (h1 - d*g1) unless the divisor vanishes.
+    is -(h0 - d*g0) / (h1 - d*g1) unless the divisor vanishes.  An
+    answer that is no integer raises :class:`DishonestOracleError`.
     """
     p = dlog.modulus.p
-    d = operator.index(dlog(g, h))
+    answer = dlog(g, h)
+    try:
+        d = operator.index(answer)
+    except TypeError as e:
+        raise DishonestOracleError(f"the DLOG answer {answer!r} is not an integer") from e
     (g0, g1), (h0, h1) = g.coords, h.coords
     den = (h1 - d * g1) % p
     if den == 0:
@@ -257,21 +267,20 @@ def secret_from_dlog_random(dlog: DlogOracle, rng) -> Optional[Residue]:
 def _cdh_rule(cdh: CdhOracle, oracle, g: GroupElement, h: GroupElement, k: GroupElement) -> Optional[Residue]:
     """The secret from one CDH call on (g, h, k), or None.
 
-    An answer l that is no element of the oracle's group (no
-    ``GroupElement``, or one that fails ``DHInstance.check``) raises
-    :class:`DishonestOracleError` before any query.  Otherwise the
-    secret is a root of the quadruple polynomial of (g, h, k, l) when its
-    quadratic coefficient is nonzero, and at most two identity queries
-    pick it out; if none passes, the answer was wrong and raises
-    :class:`DishonestOracleError`.  A vanishing quadratic coefficient is
-    a degenerate draw and yields None.
+    An answer l that is no element of the oracle's group (None, or one
+    that fails ``DHInstance.check``) raises :class:`DishonestOracleError`
+    before any query.  Otherwise the secret is a root of the quadruple
+    polynomial of (g, h, k, l) when its quadratic coefficient is nonzero,
+    and at most two identity queries pick it out; if none passes, the
+    answer was wrong and raises :class:`DishonestOracleError`.  A
+    vanishing quadratic coefficient is a degenerate draw and yields None.
     """
     modulus = cdh.modulus
     l = cdh(g, h, k)
     quadruple = DHInstance(g, h, k, l)
     try:
-        if not isinstance(l, GroupElement):
-            raise ValueError(f"{l!r} is no GroupElement")
+        if l is None:  # DHInstance reads a missing l as a CDH input
+            raise ValueError("None is not a GroupElement")
         quadruple.check(oracle)
     except ValueError as e:
         raise DishonestOracleError(f"the CDH answer is not an element of the group: {e}") from e

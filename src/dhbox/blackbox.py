@@ -105,10 +105,6 @@ class GroupElement:
         self.coords = _canonical_coords(coords, modulus.p)
         self.modulus = modulus
 
-    @classmethod
-    def zero(cls, modulus: PrimeModulus, level: int) -> "GroupElement":
-        return cls((0,) * (level + 1), modulus)
-
     @property
     def level(self) -> int:
         return len(self.coords) - 1

@@ -5,6 +5,9 @@ decision, level lifting, the multiplicative-subgroup embedding, one
 Grover run), the adversary-bound report and the three Monte Carlo
 experiments.  Every command takes an explicit seed where randomness is
 involved; identical invocations produce byte-identical output files.
+Each handler parses its arguments, calls one library function (the
+``secret``, ``lift`` and ``embed`` checks live in ``experiments``, where
+the demos call them too) and formats what it returns.
 
 Exit codes: 0 success, 1 input/usage error, 2 internal failure.
 """
@@ -18,27 +21,16 @@ from typing import List, Optional
 
 from . import __version__
 from .adversary import adversary_bounds
-from .algorithms import (
-    DHInstance,
-    brute_force_secret,
-    ddh_decide_by_search,
-    ddh_decide_level1,
-    embed_generic_group,
-    honest_cdh_oracle,
-    honest_dlog_oracle,
-    lift_instance,
-    lift_oracle,
-    secret_from_cdh,
-    secret_from_cdh_random,
-    secret_from_dlog,
-    secret_from_dlog_random,
-)
-from .blackbox import Escrow, GroupElement, IdentityOracle, random_element
+from .algorithms import DHInstance, ddh_decide_level1
+from .blackbox import GroupElement, IdentityOracle
 from .experiments import (
-    check_trials,
+    RECOVERIES,
     format_value,
+    recover_secret,
     rows_to_csv,
+    run_embedding,
     run_level2_solution_counts,
+    run_lift_agreement,
     run_reduction_success,
     run_scaling,
     trial_rng,
@@ -116,11 +108,7 @@ def build_parser() -> _Parser:
         return sp
 
     sp = add("secret", "recover the hidden secret with a chosen algorithm", seed=True, out=True, fmt=True)
-    sp.add_argument(
-        "--algo",
-        choices=("dlog", "cdh", "dlog-random", "cdh-random", "brute", "brute-random"),
-        default="cdh",
-    )
+    sp.add_argument("--algo", choices=RECOVERIES, default="cdh")
 
     sp = add("ddh", "decide whether a level-1 quadruple is a DH-quadruple")
     sp.add_argument("--secret", type=int, required=True, help="hidden secret of the oracle")
@@ -164,28 +152,7 @@ def _cmd_secret(args) -> int:
     rng = trial_rng(args.seed, 100)
     s = int(rng.integers(0, p))
     oracle = IdentityOracle.level1(modulus, s)
-    escrow = Escrow()
-    dlog_calls = cdh_calls = 0
-    if args.algo == "dlog":
-        handle = honest_dlog_oracle(oracle, escrow)
-        got = secret_from_dlog(handle)
-        dlog_calls = handle.calls
-    elif args.algo == "dlog-random":
-        handle = honest_dlog_oracle(oracle, escrow)
-        got = secret_from_dlog_random(handle, rng)
-        dlog_calls = handle.calls
-    elif args.algo == "cdh":
-        handle = honest_cdh_oracle(oracle, escrow)
-        got = secret_from_cdh(handle, oracle)
-        cdh_calls = handle.calls
-    elif args.algo == "cdh-random":
-        handle = honest_cdh_oracle(oracle, escrow)
-        got = secret_from_cdh_random(handle, oracle, rng)
-        cdh_calls = handle.calls
-    elif args.algo == "brute":
-        got = brute_force_secret(oracle)
-    else:
-        got = brute_force_secret(oracle, rng)
+    got, dlog_calls, cdh_calls = recover_secret(args.algo, oracle, rng)
     recovered = "none" if got is None else str(got.value)
     row = {
         "algorithm": args.algo,
@@ -218,56 +185,20 @@ def _cmd_ddh(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    p = _single_p(args)
-    modulus = PrimeModulus(p)
-    check_trials(args.trials)
-    agree = 0
-    for t in range(args.trials):
-        rng = trial_rng(args.seed, 300, t)
-        s = int(rng.integers(0, p))
-        oracle = IdentityOracle.level1(modulus, s)
-        g = random_element(modulus, 1, rng)
-        while oracle.query(g) == 1:
-            g = random_element(modulus, 1, rng)
-        inst = DHInstance(
-            g,
-            random_element(modulus, 1, rng),
-            random_element(modulus, 1, rng),
-            random_element(modulus, 1, rng),
-        )
-        base_answer = ddh_decide_level1(oracle, inst, check_generator=False)
-        lifted = lift_instance(inst)
-        lifted_oracle = lift_oracle(oracle)
-        lifted_answer = ddh_decide_by_search(lifted_oracle, lifted)
-        if base_answer == lifted_answer:
-            agree += 1
+    agree = run_lift_agreement(_single_p(args), args.trials, args.seed)
     print(f"lift agreement: {agree}/{args.trials} instances")
     return 0 if agree == args.trials else 2
 
 
 def _cmd_embed(args) -> int:
-    p = _single_p(args)
-    modulus = PrimeModulus(p)
-    q = args.q
-    # Find a generator of the order-p subgroup of the units mod q.
-    g1 = None
-    for w in range(2, q):
-        cand = pow(w, (q - 1) // p, q)
-        if cand != 1:
-            g1 = cand
-            break
-    if g1 is None:
-        raise ValueError(f"no order-{p} subgroup generator found mod {q}")
+    p = PrimeModulus(_single_p(args)).p  # refused before the exponents are drawn mod p
     if args.a is None or args.b is None or args.c is None:
         rng = trial_rng(args.seed, 400)
         a, b, c = (int(x) for x in rng.integers(0, p, size=3))
     else:
-        a, b, c = args.a % p, args.b % p, args.c % p
-    gens = (g1, pow(g1, a, q), pow(g1, b, q), pow(g1, c, q))
-    oracle, inst = embed_generic_group(modulus, q, gens)
-    answer = ddh_decide_by_search(oracle, inst)
-    direct = 1 if c == a * b % p else 0
-    print(f"exponents: a={a} b={b} c={c} (mod {p}); subgroup elements {gens} mod {q}")
+        a, b, c = args.a, args.b, args.c
+    gens, answer, direct, oracle = run_embedding(p, args.q, a, b, c)
+    print(f"exponents: a={a % p} b={b % p} c={c % p} (mod {p}); subgroup elements {gens} mod {args.q}")
     print(f"DDH via embedded oracle: {'yes' if answer else 'no'}")
     print(f"DDH via exponents:       {'yes' if direct else 'no'}")
     print(f"identity queries: {oracle.queries}, modular multiplications: {oracle.mults}")

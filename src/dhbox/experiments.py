@@ -6,6 +6,12 @@ DLOG/CDH reductions, and the geometry of random level-2 inputs (how often
 some query line meets the quadruple polynomial's zero set in more than
 two points, the event that breaks the counting argument).
 
+Each level-1 check has one home here, which the CLI and the demos call:
+``recover_secret`` runs any of the six recoveries named in
+``RECOVERIES``, ``run_lift_agreement`` checks that lifting keeps DDH
+answers, and ``run_embedding`` decides one DDH input of a prime-order
+subgroup through its embedding.
+
 Every random draw is derived from (seed, labels, trial index) through a
 SeedSequence, so aggregates are independent of execution order and two
 runs with the same configuration are byte-identical.
@@ -21,14 +27,23 @@ import numpy as np
 
 from .adversary import check_enumeration_guard
 from .algorithms import (
+    DHInstance,
+    EmbeddedOracle,
     brute_force_secret,
+    ddh_decide_by_search,
+    ddh_decide_level1,
+    embed_generic_group,
     honest_cdh_oracle,
     honest_dlog_oracle,
+    lift_instance,
+    lift_oracle,
+    secret_from_cdh,
     secret_from_cdh_random,
+    secret_from_dlog,
     secret_from_dlog_random,
 )
-from .blackbox import Escrow, IdentityOracle
-from .modmath import PrimeModulus, _inv_int, _sqrt_int
+from .blackbox import Escrow, IdentityOracle, random_element
+from .modmath import PrimeModulus, Residue, _inv_int, _sqrt_int
 
 
 def trial_rng(seed: int, *labels: int) -> np.random.Generator:
@@ -113,6 +128,34 @@ def run_scaling(ps: Sequence[int], trials: int, seed: int) -> List[ScalingRow]:
     return rows
 
 
+# The six ways to recover a level-1 secret: one DLOG or CDH call, on the
+# fixed instance or a random one, or exhaustive search in order or at random.
+RECOVERIES = ("dlog", "cdh", "dlog-random", "cdh-random", "brute", "brute-random")
+
+
+def recover_secret(algo: str, oracle, rng) -> Tuple[Optional[Residue], int, int]:
+    """Recover ``oracle``'s secret by the recovery ``algo``, one of
+    :data:`RECOVERIES`, as (result, DLOG calls, CDH calls).
+
+    A DLOG or CDH recovery asks an honest handle built through escrow;
+    the ``-random`` ones and ``brute-random`` draw from ``rng``.  The
+    result is None on a degenerate random instance.  An unknown name
+    raises ``ValueError`` before anything is built or charged.
+    """
+    if algo not in RECOVERIES:
+        raise ValueError(f"unknown recovery {algo!r}, expected one of {', '.join(RECOVERIES)}")
+    kind, _, order = algo.partition("-")
+    if kind == "brute":
+        return brute_force_secret(oracle, rng if order else None), 0, 0
+    if kind == "dlog":
+        dlog = honest_dlog_oracle(oracle, Escrow())
+        got = secret_from_dlog_random(dlog, rng) if order else secret_from_dlog(dlog)
+        return got, dlog.calls, 0
+    cdh = honest_cdh_oracle(oracle, Escrow())
+    got = secret_from_cdh_random(cdh, oracle, rng) if order else secret_from_cdh(cdh, oracle)
+    return got, 0, cdh.calls
+
+
 @dataclass(frozen=True)
 class ReductionRow:
     """Success-rate estimate of one random-instance reduction.
@@ -148,7 +191,6 @@ def run_reduction_success(p: int, trials: int, seed: int) -> List[ReductionRow]:
     """
     modulus = PrimeModulus(p)
     check_trials(trials)
-    escrow = Escrow()
     rows = []
     for tag, name, bound in ((1, "dlog-random", (p - 1) / p), (2, "cdh-random", (p - 2) / p)):
         successes = 0
@@ -158,13 +200,8 @@ def run_reduction_success(p: int, trials: int, seed: int) -> List[ReductionRow]:
             rng = trial_rng(seed, tag, t)
             s = int(rng.integers(0, p))
             oracle = IdentityOracle.level1(modulus, s)
-            if tag == 1:
-                handle = honest_dlog_oracle(oracle, escrow)
-                got = secret_from_dlog_random(handle, rng)
-            else:
-                handle = honest_cdh_oracle(oracle, escrow)
-                got = secret_from_cdh_random(handle, oracle, rng)
-            oracle_calls += handle.calls
+            got, dlog_calls, cdh_calls = recover_secret(name, oracle, rng)
+            oracle_calls += dlog_calls + cdh_calls
             id_queries += oracle.queries
             if got is not None and got.value == s:
                 successes += 1
@@ -185,6 +222,60 @@ def run_reduction_success(p: int, trials: int, seed: int) -> List[ReductionRow]:
             )
         )
     return rows
+
+
+def run_lift_agreement(p: int, trials: int, seed: int) -> int:
+    """How many of ``trials`` random level-1 quadruples keep their DDH
+    answer one level up.
+
+    Trial t draws, from ``trial_rng(seed, 300, t)``, a secret, a g
+    redrawn until it generates the group, and h, k, l.  The quadruple is
+    decided by the two-query level-1 algorithm and, lifted, by
+    exhaustive search through the lifted oracle; the two agree on every
+    instance when lifting preserves DDH answers.
+    """
+    modulus = PrimeModulus(p)
+    check_trials(trials)
+    agree = 0
+    for t in range(trials):
+        rng = trial_rng(seed, 300, t)
+        s = int(rng.integers(0, p))
+        oracle = IdentityOracle.level1(modulus, s)
+        g = random_element(modulus, 1, rng)
+        while oracle.query(g) == 1:
+            g = random_element(modulus, 1, rng)
+        inst = DHInstance(
+            g,
+            random_element(modulus, 1, rng),
+            random_element(modulus, 1, rng),
+            random_element(modulus, 1, rng),
+        )
+        base_answer = ddh_decide_level1(oracle, inst, check_generator=False)
+        lifted_answer = ddh_decide_by_search(lift_oracle(oracle), lift_instance(inst))
+        if base_answer == lifted_answer:
+            agree += 1
+    return agree
+
+
+def run_embedding(p: int, q: int, a: int, b: int, c: int
+                  ) -> Tuple[Tuple[int, int, int, int], int, int, EmbeddedOracle]:
+    """Decide the DDH input (g1, g1^a, g1^b, g1^c) of the order-p subgroup
+    of the units mod q through its embedding, and by its exponents.
+
+    g1 is the first w^((q-1)/p) != 1 for w = 2, 3, ...  Returns the four
+    subgroup elements, the answer of exhaustive search on the embedded
+    oracle, the answer c = ab (mod p), and the oracle, which holds the
+    query and multiplication counts.  The two answers agree whenever the
+    embedding is sound.
+    """
+    modulus = PrimeModulus(p)
+    powers = (pow(w, (q - 1) // p, q) for w in range(2, q))
+    g1 = next((x for x in powers if x != 1), None)
+    if g1 is None:
+        raise ValueError(f"no order-{p} subgroup generator found mod {q}")
+    gens = (g1, pow(g1, a % p, q), pow(g1, b % p, q), pow(g1, c % p, q))
+    oracle, inst = embed_generic_group(modulus, q, gens)
+    return gens, ddh_decide_by_search(oracle, inst), int(c % p == a * b % p), oracle
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,13 @@ def test_ddh_level_and_missing_l_rejected():
         # the search refuses before it recovers any coordinate
         (ddh_decide_by_search, o2, inst7, "dimension mismatch"),
         (ddh_decide_by_search, o1, lift_instance(inst7), "dimension mismatch"),
+        # elements that are no GroupElement (tuples, None), anywhere in the quadruple
+        (ddh_decide_level1, o1, DHInstance((1, 0), (0, 1), (0, 1), (4, 0)), "not a GroupElement"),
+        (unscreened, o1, DHInstance(g7, elem(pm7, 0, 1), (0, 1), elem(pm7, 4, 0)), "not a GroupElement"),
+        (ddh_decide_by_search, o2, lift_instance(inst7)._replace(l=(4, 0, 0)), "not a GroupElement"),
+        (ddh_decide_by_search, o1, inst7._replace(l=(4, 0)), "not a GroupElement"),
+        (unscreened, o1, inst7._replace(g=None), "not a GroupElement"),
+        (ddh_decide_by_search, o1, inst7._replace(h=None), "not a GroupElement"),
     ]
     for decide, o, inst, match in rows:
         with pytest.raises(ValueError, match=match):
@@ -305,6 +312,23 @@ def test_dlog_answer_as_int64_at_the_largest_modulus(reduction):
             "secret_from_dlog_random": lambda: secret_from_dlog_random(d, np.random.default_rng(seed)),
         }[reduction]
         assert run().value == s
+
+
+@pytest.mark.parametrize("answer", [1.5, None, "3"], ids=["float", "none", "str"])
+@pytest.mark.parametrize("reduction", ["secret_from_dlog", "secret_from_dlog_random"])
+def test_dlog_answer_that_is_no_integer_is_dishonest(reduction, answer):
+    # The first answer is refused as a lie: the random path does not take
+    # it for a rejected generator and draw again.
+    pm = PrimeModulus(7)
+    o = IdentityOracle.level1(pm, 3)
+    d = DlogOracle(lambda g, h: answer, pm)
+    run = {
+        "secret_from_dlog": lambda: secret_from_dlog(d),
+        "secret_from_dlog_random": lambda: secret_from_dlog_random(d, np.random.default_rng(0)),
+    }[reduction]
+    with pytest.raises(DishonestOracleError, match="not an integer"):
+        run()
+    assert d.calls == 1 and o.queries == 0
 
 
 # ----------------------------------------------------------- secret from CDH
