@@ -35,14 +35,23 @@ followed by the n mod 8 tail in order, and more items as the sum over
 the first n2 = n//2 - (n//2 mod 8) plus the sum over the rest.  Every
 subtree of that split without the target sums u alone, so its sum
 depends on its size only, and ``_two_valued_sum`` rebuilds numpy's sum
-in O(log n) float additions from a size tree built once per run.  The
-``float64`` vector is built once, at the end, for sampling and
-``_check_norm``; ``_step`` stays as the array reference that tests
-iterate.
+in O(log n) float additions from a size tree built once per run.
+
+Measurement needs no vector either.  ``Generator.choice`` with weights
+draws one uniform double x and returns the first index whose partial
+sum, over the last one, exceeds x.  numpy's partial sums add the
+entries in order, and within one binade adding the same value adds the
+same rounded number of ulps every step (ties to even settle after one
+step), so ``_two_valued_cumsum`` holds them as O(log n) runs and
+``_two_valued_choice`` bisects them: a seeded ``grover_search`` measures
+what sampling the vector would, and builds nothing that grows with p.
+``simulate_search`` returns the ``float64`` vector for its callers, and
+``_step`` stays as the array reference that tests iterate.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -192,6 +201,85 @@ def _two_valued_step(n: int, target: int, t: float, u: float) -> tuple:
     return t, u
 
 
+_ULP_TOP = 1 << 53  # the grid of one ulp spans 2**53 ulps, up to the next power of two
+
+
+def _ulp_exponent(s: float) -> int:
+    """The exponent e of the float grid 2**e that holds s >= 0 and every
+    float from s up to the next power of two (the subnormals and the
+    lowest binade share the grid 2**-1074)."""
+    return max(math.frexp(s)[1] - 53, -1074) if s else -1074
+
+
+def _add_runs(runs: list, first: int, end: int, s: float, a: float) -> float:
+    """Append to ``runs`` the partial sums of entries first..end-1, each a
+    float addition of ``a`` to the one before, from ``s`` before first;
+    return the last (``s`` when first = end).
+
+    A run is (first entry, value in ulps, increment in ulps, ulp exponent).
+    While s and s + a lie on one grid, s + a adds to s the same rounded
+    number of ulps every step, except that a tie at half an ulp rounds to
+    even and so may add one ulp more on the first step only.  So once two
+    steps from a sum on the grid stay on it, the second gives the
+    increment of every later step below the grid's top; the steps at a
+    grid's edge are real float additions.
+    """
+    while first < end:
+        s1 = s + a
+        e = _ulp_exponent(s1)
+        v, d, count = int(math.ldexp(s1, -e)), 0, 1
+        if first + 1 < end and _ulp_exponent(s) == e:
+            s2 = s1 + a
+            if _ulp_exponent(s2) == e:
+                d = int(math.ldexp(s2 - s1, -e))
+                count = end - first if d == 0 else min(end - first, (_ULP_TOP - 1 - v) // d + 1)
+        runs.append((first, v, d, e))
+        first += count
+        s = math.ldexp(v + (count - 1) * d, e)
+    return s
+
+
+def _two_valued_cumsum(n: int, j: int, u: float, t: float):
+    """``np.cumsum`` of the n-vector that is u everywhere but t at j, bit
+    for bit, as a function of the entry index: numpy adds the entries in
+    order, so the sums are O(log n) runs of equal ulp steps
+    (``_add_runs``) around the one addition of t."""
+    runs = []
+    s = _add_runs(runs, 0, j, 0.0, u)
+    s = _add_runs(runs, j, j + 1, s, t)
+    _add_runs(runs, j + 1, n, s, u)
+    firsts = [run[0] for run in runs]
+
+    def partial_sum(i: int) -> float:
+        first, v, d, e = runs[bisect.bisect_right(firsts, i) - 1]
+        return math.ldexp(v + (i - first) * d, e)
+
+    return partial_sum
+
+
+def _two_valued_choice(n: int, j: int, t: float, u: float, x: float) -> int:
+    """``Generator.choice(n, p=probs / probs.sum())`` on the vector of
+    squared amplitudes (t at j, u elsewhere), for the one uniform double x
+    that ``choice`` draws.  ``choice`` returns the first i whose
+    normalised partial sum c_i / c_{n-1} exceeds x; the sum of the squares
+    is ``_two_valued_sum`` and the partial sums ``_two_valued_cumsum``,
+    so no n-sized array is built."""
+    uu, tt = u * u, t * t
+    total = _two_valued_sum(n, j, uu, tt)
+    partial_sum = _two_valued_cumsum(n, j, uu / total, tt / total)
+    last = partial_sum(n - 1)
+    return bisect.bisect_right(range(n), x, key=lambda i: partial_sum(i) / last)
+
+
+def _evolve(n: int, target: int, iterations: int) -> tuple:
+    """The pair (t, u) after ``iterations`` steps from the uniform state,
+    its norm checked after every step."""
+    t = u = 1.0 / math.sqrt(n)
+    for _ in range(iterations):
+        t, u = _two_valued_step(n, target, t, u)
+    return t, u
+
+
 def _iteration_count(iterations) -> int:
     """An exact iteration count, refused when negative."""
     k = operator.index(iterations)
@@ -204,7 +292,7 @@ def _check_states(n_states: int, target: int) -> None:
     if n_states < 2:
         raise ValueError(f"need at least 2 states, got {n_states}")
     if n_states > MAX_STATES:
-        raise ValueError(f"{n_states} states exceed the memory guard {MAX_STATES}")
+        raise ValueError(f"{n_states} states exceed the state guard {MAX_STATES}")
     if not 0 <= target < n_states:
         raise ValueError(f"target {target} outside [0, {n_states})")
 
@@ -218,17 +306,14 @@ def simulate_search(n_states: int, target: int, iterations: int) -> np.ndarray:
     other entry shares, each step the float operations of ``_step``
     (the reference): the mean is ``_two_valued_sum`` (numpy's pairwise
     order, rebuilt exactly) over N, so the result equals iterated
-    ``_step`` bit for bit.  The ``float64`` vector is built once at the
-    end, where ``_check_norm`` checks it; the norm of the two values is
-    checked after every step.  It is a ``complex128`` run's real part
-    up to rounding (numpy sums the mean of a real array in another
+    ``_step`` bit for bit.  The norm of the two values is checked after
+    every step, and the returned ``float64`` vector, built from them for
+    the caller, by ``_check_norm``.  It is a ``complex128`` run's real
+    part up to rounding (numpy sums the mean of a real array in another
     pairwise order, which moves the last bits).
     """
     _check_states(n_states, target)
-    iterations = _iteration_count(iterations)
-    t = u = 1.0 / math.sqrt(n_states)
-    for _ in range(iterations):
-        t, u = _two_valued_step(n_states, target, t, u)
+    t, u = _evolve(n_states, target, _iteration_count(iterations))
     amplitudes = np.full(n_states, u, dtype=np.float64)
     amplitudes[target] = t
     _check_norm(amplitudes)
@@ -261,33 +346,34 @@ def grover_search(oracle, iterations: Optional[int] = None, rng=None) -> GroverR
     phase oracle once and is charged as one query on ``oracle``, so the
     reported query count equals the iteration count and a budget below
     it raises ``QueryBudgetExceeded``.
-    Measurement samples the final distribution with ``rng`` (fixed rng
-    implies a fixed outcome).
+    The state is evolved as its two values (``_evolve``), and measurement
+    takes one uniform double from ``rng`` and returns what
+    ``Generator.choice`` would draw from the squared state vector with
+    it (``_two_valued_choice``), so a fixed rng implies a fixed outcome
+    and no p-sized array is built.  ``MAX_STATES`` still bounds p.
     """
     if oracle.level != 1:
         raise ValueError(f"level-1 oracle required, got level {oracle.level}")
     p = oracle.modulus.p
     if p > MAX_STATES:
-        raise ValueError(f"p = {p} exceeds the memory guard {MAX_STATES}")
+        raise ValueError(f"p = {p} exceeds the state guard {MAX_STATES}")
     target = oracle.reveal_hidden(Escrow()).coords[1]
     k = optimal_iterations(p) if iterations is None else _iteration_count(iterations)
-    # Charge the k phase-oracle applications before the state is built,
-    # so a budget below k allocates nothing.  Each asks about the escrowed
+    # Charge the k phase-oracle applications before the state evolves,
+    # so a budget below k runs no step.  Each asks about the escrowed
     # target, which must lie on the oracle's hidden line.
     for _ in range(k):
         if first_on_line(oracle, (target,)) is None:
             raise DishonestOracleError(f"oracle rejects its escrowed secret {target}")
-    amplitudes = simulate_search(p, target, k)
-    probs = np.square(amplitudes)
+    t, u = _evolve(p, target, k)
     if rng is None:
         rng = np.random.default_rng()
-    measured = int(rng.choice(p, p=probs / probs.sum()))
     return GroverRun(
         p=p,
         target=target,
         iterations=k,
-        success_probability=float(probs[target]),
-        measured_outcome=measured,
+        success_probability=t * t,
+        measured_outcome=_two_valued_choice(p, target, t, u, rng.random()),
         oracle_queries=k,
     )
 

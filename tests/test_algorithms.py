@@ -197,7 +197,7 @@ def _honest_cdh(p):
 
 
 # Entry points that take an oracle, each with an input of the wrong modulus
-# or level; 4194319 is the first prime above the Grover memory guard.
+# or level; 4194319 is the first prime above the Grover state guard.
 REFUSALS = {
     "cdh-random/modulus": lambda: _refusal(
         secret_from_cdh_random, _honest_cdh(11), IdentityOracle.level1(PrimeModulus(7), 3),

@@ -10,6 +10,7 @@ from dhbox.grover_sim import (
     GroverRun,
     NormDriftError,
     _step,
+    _two_valued_cumsum,
     _two_valued_step,
     _two_valued_sum,
     closed_form_success,
@@ -231,17 +232,23 @@ def test_simulate_search_is_iterated_step_at_boundary_targets():
             assert np.array_equal(amp, ref), (n, target)
 
 
+def _array_measurement(amp, target, k, rng):
+    """Sampling the state vector ``amp`` after k steps, as the array path did."""
+    p = amp.size
+    probs = np.square(amp)
+    measured = int(rng.choice(p, p=probs / probs.sum()))
+    return GroverRun(
+        p=p, target=target, iterations=k, success_probability=float(probs[target]),
+        measured_outcome=measured, oracle_queries=k,
+    )
+
+
 def _array_grover_run(p, target, k, seed):
     """The state-vector search: k steps of ``_step``, then sampling."""
     amp = np.full(p, 1 / math.sqrt(p), dtype=np.float64)
     for _ in range(k):
         amp = _step(amp, target)
-    probs = np.square(amp)
-    measured = int(np.random.default_rng(seed).choice(p, p=probs / probs.sum()))
-    return GroverRun(
-        p=p, target=target, iterations=k, success_probability=float(probs[target]),
-        measured_outcome=measured, oracle_queries=k,
-    )
+    return _array_measurement(amp, target, k, np.random.default_rng(seed))
 
 
 def test_seeded_search_at_65537_equals_the_array_path():
@@ -252,6 +259,108 @@ def test_seeded_search_at_65537_equals_the_array_path():
         target = (seed * 40503 + 7) % p
         run = grover_search(IdentityOracle.level1(pm, target), rng=np.random.default_rng(seed))
         assert run.to_dict() == _array_grover_run(p, target, k, seed).to_dict(), seed
+
+
+def test_seeded_search_equals_the_array_path_below_2000():
+    # At every prime below 2000 and each boundary target, the measured
+    # outcome after 0, the optimal and 3x the optimal count (success near
+    # 0 there) is the array path's, and the run draws one double as it does.
+    primes = [p for p in range(3, 2000) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for p in primes:
+        pm = PrimeModulus(p)
+        opt = optimal_iterations(p)
+        for target in _boundary_targets(p):
+            amp = np.full(p, 1 / math.sqrt(p), dtype=np.float64)
+            for k in range(3 * opt + 1):
+                if k in (0, opt, 3 * opt):
+                    seed = p * 7 + target * 3 + k
+                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    run = grover_search(IdentityOracle.level1(pm, target), iterations=k, rng=rng)
+                    assert run == _array_measurement(amp, target, k, ref_rng), (p, target, k)
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+                amp = _step(amp, target)
+
+
+def test_grover_search_builds_no_state_vector():
+    # 4194301 is the largest prime below MAX_STATES; one float64 vector
+    # of it is 32 MiB.
+    import tracemalloc
+
+    p = 4194301
+    assert p <= MAX_STATES
+    oracle = IdentityOracle.level1(PrimeModulus(p), 1234567)
+    rng = np.random.default_rng(7)
+    tracemalloc.start()
+    try:
+        run = grover_search(oracle, rng=rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert run.iterations == run.oracle_queries == optimal_iterations(p)
+    assert run.success_probability == pytest.approx(closed_form_success(p, run.iterations), abs=1e-9)
+    assert 0 <= run.measured_outcome < p
+
+
+def _cumsum_case(n, j, qu, qt):
+    a = np.full(n, qu)
+    a[j] = qt
+    partial_sum = _two_valued_cumsum(n, j, qu, qt)
+    return np.array([partial_sum(i) for i in range(n)]), np.cumsum(a)
+
+
+_ULP_1 = 2.0 ** -52  # the ulp of 1.0
+
+
+@pytest.mark.parametrize("n, j, qu, qt", [
+    # a tie at exactly half an ulp from an even start (1.0) stays there,
+    # from an odd start it rounds up once to even and then stays
+    (300, 0, _ULP_1 / 2, 1.0),
+    (300, 0, _ULP_1 / 2, 1.0 + _ULP_1),
+    # 1.5 ulps: +2 ulps a step from even, +1 then +2 from odd
+    (300, 0, 1.5 * _ULP_1, 1.0),
+    (300, 0, 1.5 * _ULP_1, 1.0 + _ULP_1),
+    (300, 5, 1.5 * _ULP_1, 1.0 - 4 * _ULP_1),
+    # an increment below half an ulp: the sum stops growing
+    (300, 0, _ULP_1 / 4, 1.0),
+    (1000, 999, 2.0 ** -60, 0.75),
+    (1000, 500, 0.001, 1e20),
+    # qt = 0 and a subnormal qt, the target first, in the middle and last
+    (1009, 0, 1 / 1009, 0.0),
+    (1009, 504, 1 / 1009, 0.0),
+    (1009, 1008, 1 / 1009, 5e-324),
+    (1009, 17, 1 / 1009, 5e-324),
+    # subnormal and zero increments
+    (500, 3, 5e-324, 0.0),
+    (500, 250, 3 * 5e-324, 2.0 ** -1022),
+    (64, 10, 0.0, 0.5),
+    # the smallest vectors, and sums crossing many binades
+    (2, 0, 0.25, 0.75),
+    (2, 1, 0.75, 0.25),
+    (4, 2, 0.1, 0.7),
+    (65537, 40503, 0.99 / 65537, 0.01),
+    (131071, 0, 1 / 131071, 1e-9),
+    (131071, 131070, 0.3 / 131071, 0.7),
+])
+def test_two_valued_cumsum_is_numpy_cumsum(n, j, qu, qt):
+    got, ref = _cumsum_case(n, j, qu, qt)
+    assert np.array_equal(got, ref)
+
+
+def test_two_valued_cumsum_on_grover_states():
+    # The normalised squares of real runs, at the sizes numpy's pairwise
+    # sum splits and at k from 0 to past the optimum.
+    rng = np.random.default_rng(24)
+    for n in (3, 8, 127, 129, 1031, 4097, 65537):
+        for k in sorted({0, 1, optimal_iterations(n), 2 * optimal_iterations(n) + 1}):
+            for j in _boundary_targets(n):
+                amp = simulate_search(n, j, k)
+                t, u, total = float(amp[j]), float(amp[(j + 1) % n]), float(np.square(amp).sum())
+                got, ref = _cumsum_case(n, j, u * u / total, t * t / total)
+                assert np.array_equal(got, ref), (n, j, k)
+        qu, qt = rng.random(2) / [n, 1]
+        got, ref = _cumsum_case(n, int(rng.integers(n)), float(qu), float(qt))
+        assert np.array_equal(got, ref), n
 
 
 def test_curve_equals_the_array_path_below_2000():
