@@ -12,7 +12,7 @@ and ``algorithms``, which need no numpy.  The study names, from
 ``adversary``, ``experiments`` and ``grover_sim``, are in ``_STUDIES``;
 the first access to one of them, or to its module, imports that module
 and binds the name here (PEP 562), so numpy loads with the first
-``experiments`` or ``grover_sim`` name or the first scan of a buffer;
+``experiments`` or ``grover_sim`` name and never with a scan;
 ``adversary`` walks its query classes in plain integers and needs none.
 """
 

@@ -345,10 +345,10 @@ def brute_force_secret(oracle, rng=None) -> Residue:
     p queries.
     """
     p = oracle.modulus.p
-    # The raw leaf answers a range in closed form and scans the buffer of
-    # the permutation in numpy; a memoryview of it still yields ints to an
-    # oracle that is scanned query by query.
-    s = first_on_line(oracle, range(p) if rng is None else memoryview(rng.permutation(p)))
+    # The raw leaf answers a range in closed form and the permutation, an
+    # integer array, by its own remainder; an oracle scanned query by
+    # query takes each of its values as an int.
+    s = first_on_line(oracle, range(p) if rng is None else rng.permutation(p))
     if s is None:
         raise DishonestOracleError("no candidate passed the identity test")
     return Residue(s, oracle.modulus)
@@ -374,13 +374,21 @@ def brute_force_hidden_vector(oracle) -> NormalVector:
     return NormalVector((1, *found), oracle.modulus)
 
 
+def _given_normal(secret, g: GroupElement) -> NormalVector:
+    """The level-1 normal of a known secret, an int or a Residue; a
+    Residue of another modulus than g's is refused."""
+    if isinstance(secret, Residue):
+        _require_same_modulus(secret, g)
+        secret = secret.value
+    return NormalVector.level1(g.modulus, secret)
+
+
 def dlog_given_secret(secret, g: GroupElement, h: GroupElement) -> Residue:
     """Discrete logarithm once the level-1 secret is known: label(h)/label(g).
 
     Costs zero oracle queries; the labels are computed from the secret.
     """
-    s = secret.value if isinstance(secret, Residue) else secret
-    return Residue(_label_quotient(NormalVector.level1(g.modulus, s), g, h), g.modulus)
+    return Residue(_label_quotient(_given_normal(secret, g), g, h), g.modulus)
 
 
 def cdh_given_secret(secret, inst: DHInstance) -> GroupElement:
@@ -388,10 +396,8 @@ def cdh_given_secret(secret, inst: DHInstance) -> GroupElement:
 
     Returns the canonical representative of label(h)*label(k)/label(g).
     """
-    s = secret.value if isinstance(secret, Residue) else secret
-    modulus = inst.modulus
-    n = NormalVector.level1(modulus, s)
-    return canonical_element(modulus, _label_quotient(n, inst.g, inst.h, inst.k), 1)
+    n = _given_normal(secret, inst.g)
+    return canonical_element(inst.modulus, _label_quotient(n, inst.g, inst.h, inst.k), 1)
 
 
 def lift_element(h: GroupElement) -> GroupElement:
@@ -526,17 +532,17 @@ class EmbeddedOracle(OracleBase):
     (:func:`_pow_mults`), so a query costs O(log p) counted modular
     multiplications plus one comparison with the unit.
 
-    A line scan is one discrete logarithm.  Every g_i has order p, so the
-    product for the query base + x*step is H * R^(x mod p), with
-    H = prod g_i^(b_i mod p) and R = prod g_i^(s_i mod p) (``_line``).
-    A range, an integer buffer or a tuple of ints is not drawn
-    (``_line_index``): the hit of a range is found by baby-step
-    giant-step, that of a buffer or tuple by one power per value up to
-    the hit, and ``mults`` is charged per candidate tried what the query
-    would charge, the coordinates that do not move with x summed once per
-    scan; for a range, whose moving exponents step by a constant mod p,
-    in closed form when that constant is 0 or 1.  Other candidates are
-    scanned query by query.
+    A line scan of a range is one discrete logarithm.  Every g_i has
+    order p, so the product for the query base + x*step is
+    H * R^(x mod p), with H = prod g_i^(b_i mod p) and
+    R = prod g_i^(s_i mod p) (``_line``).  A range is not drawn
+    (``_line_index``): its hit is found by baby-step giant-step, and
+    ``mults`` is charged per candidate tried what the query would
+    charge, the coordinates that do not move with x summed once per scan
+    and the moving ones, whose exponents step by a constant mod p, in
+    closed form when that constant is 0 or 1.  Every other scan, a tuple
+    or an array included, is asked query by query, so ``_answer`` alone
+    decides and charges it.
     """
 
     __slots__ = ("q", "generators", "mults")
@@ -597,34 +603,25 @@ class EmbeddedOracle(OracleBase):
         return pow(head, -1, q), ratio, fixed, moving
 
     def _line_index(self, base, step, seq) -> Optional[int]:
-        """The first accepted index of a range, buffer or tuple, and its
-        ``mults``.
+        """The first accepted index of a range, and its ``mults``;
+        NotImplemented for any other candidates.
 
         Candidate i of range(start, stop, stride) is accepted exactly when
         (R^stride)^i = target * R^-start, so its hit is the least such
-        i < min(n, p), by :func:`_first_power`.  The non-range branch
-        answers tuples and buffers: the hit is the first value whose power
-        is target, one power per value.
+        i < min(n, p), by :func:`_first_power`.
         """
+        if not isinstance(seq, range):
+            return NotImplemented
         p = self.modulus.p
         q = self.q
         target, ratio, fixed, moving = self._line(base, step)
         n = _index_length(seq)
-        if isinstance(seq, range):
-            goal = target * pow(ratio, -seq.start % p, q) % q
-            i = _first_power(pow(ratio, seq.step % p, q), goal, min(n, p), q)
-        else:
-            values = enumerate(map(operator.index, seq))
-            i = next((k for k, x in values if pow(ratio, x % p, q) == target), None)
+        goal = target * pow(ratio, -seq.start % p, q) % q
+        i = _first_power(pow(ratio, seq.step % p, q), goal, min(n, p), q)
         tried = n if i is None else min(i + 1, n)
         mults = tried * fixed
-        if isinstance(seq, range):
-            for b, s in moving:
-                mults += _mults_of_progression((b + seq.start * s) % p, seq.step * s % p, tried, p)
-        else:
-            for x in map(operator.index, seq[:tried]):
-                for b, s in moving:
-                    mults += _pow_mults((b + x * s) % p)
+        for b, s in moving:
+            mults += _mults_of_progression((b + seq.start * s) % p, seq.step * s % p, tried, p)
         self.mults += mults
         return i
 

@@ -14,17 +14,17 @@ has two entry points: ``query_coords`` charges one query, and
 ``scan_line`` charges one query per candidate x of a line base + x*step,
 in order, up to the first accepted one.  ``OracleBase.scan_line`` is the
 one scaffold of every scan: the width checks, the budget cut, the charge
-and the refusal.  A range, a one-dimensional integer buffer or a tuple
-of ints is scanned by the leaf's index, which names the first accepted
-candidate without a query: a raw oracle accepts x exactly when
+and the refusal.  A range, a one-dimensional integer numpy array or a
+tuple of ints is offered to the leaf's index, which names the first
+accepted candidate without a query: a raw oracle accepts x exactly when
 x = t (mod p) for one residue t of the line, so it answers a range in
-closed form, a buffer in numpy and a tuple one remainder per item; the
-embedded oracle accepts x exactly when R^x = H^-1 for two subgroup
-elements of the line, so it answers a range by baby-step giant-step and
-the others one power per candidate.  numpy is imported by the first
-buffer scan, not with this module, so the level-1 core loads without
-it.  Any other candidates (an iterator,
-a list, floats), any oracle without an index, and a subclass that
+closed form, an array by the array's own remainder and a tuple one
+remainder per item; the embedded oracle accepts x exactly when
+R^x = H^-1 for two subgroup elements of the line, so it answers a range
+by baby-step giant-step and declines the rest.  This module never
+imports numpy; an array reaches a scan only from a caller that has.
+Any other candidates (an iterator, a list, a memoryview, floats), what
+a leaf declines, any oracle without an index, and a subclass that
 changes the answer rule are scanned through ``query_coords``, so both
 entry points ask and charge the same queries.  The one view,
 :class:`OracleView`, keeps no counter: it maps coordinates, or a scan's
@@ -219,9 +219,10 @@ class OracleBase:
     ``scan_line`` asks the queries base + x*step for each candidate x in
     order and stops at the first accepted one.  It holds everything about
     a scan but the answers: a leaf supplies only ``_line_index``, which
-    names the first accepted index of a range, an integer buffer or a
-    tuple of ints; other candidates, and an oracle without an index, are
-    scanned through ``query_coords``.  A view (:class:`OracleView`)
+    names the first accepted index of a range, an integer array or a
+    tuple of ints, or declines it; other candidates, what the leaf
+    declines, and an oracle without an index, are scanned through
+    ``query_coords``.  A view (:class:`OracleView`)
     leaves the counter unset; it maps coordinates, or a scan's base and
     step, and passes the query or scan to the oracle it wraps, which
     checks and charges it.  A view uses only the public surface of what
@@ -230,11 +231,13 @@ class OracleBase:
 
     __slots__ = ("modulus", "level", "_queries", "_budget")
 
-    # The leaf's answer to a scan of a range, an integer buffer or a tuple
+    # The leaf's answer to a scan of a range, an integer array or a tuple
     # of ints, ``_line_index(base, step, seq)``: the least i >= 0 at which
-    # seq holds an accepted candidate, or else None or any i past its end.
-    # A leaf that counts more than queries (``mults``) charges the
-    # candidates tried, the first min(i + 1, len(seq)).  None here, and in
+    # seq holds an accepted candidate, or else None or any i past its end;
+    # or NotImplemented, before anything is charged, for a kind of seq the
+    # leaf does not index, which is then scanned query by query.  A leaf
+    # that counts more than queries (``mults``) charges the candidates
+    # tried, the first min(i + 1, len(seq)).  None here, and in
     # a subclass that overrides ``_answer`` or ``query_coords`` below the
     # class that wrote the index (a lying test oracle, a recorder): those
     # scan query by query, so a scan believes the answers the queries get.
@@ -286,13 +289,13 @@ class OracleBase:
         scan stops at the first accepted one.  Returns None when no
         candidate is accepted.  An empty scan asks nothing.
 
-        A range, a one-dimensional integer buffer or a tuple of ints is
-        not drawn when the leaf has a ``_line_index``: it is cut to the
+        A range, a one-dimensional integer numpy array or a tuple of ints
+        is not drawn when the leaf has a ``_line_index``: it is cut to the
         budget's room, the leaf names the index i of the first accepted
         candidate, and i + 1 queries are charged (the whole room when none
         is accepted, and then a scan that the budget cut short is refused
-        as the query-by-query loop refuses it).  Other candidates are
-        scanned query by query.
+        as the query-by-query loop refuses it).  Other candidates, and
+        those the leaf declines, are scanned query by query.
         """
         index = self._line_index
         n = None if index is None else _index_length(candidates)
@@ -304,6 +307,8 @@ class OracleBase:
         room = n if self._budget is None else min(n, max(self._budget - self._queries, 0))
         scan = candidates if room == n else candidates[:room]
         i = index(base, step, scan)
+        if i is NotImplemented:
+            return _scan_by_queries(self, base, step, candidates)
         if i is not None and i < room:
             self._queries += i + 1
             return scan[i]
@@ -338,7 +343,7 @@ class RawOracle(OracleBase):
 
     A line scan is decided by one residue t: a candidate is accepted
     exactly when it is t mod p.  A range is answered in closed form, an
-    integer buffer by a numpy remainder and a tuple of ints one remainder
+    integer array by its own remainder and a tuple of ints one remainder
     per item, so no query is formed per candidate; other candidates are
     scanned query by query.
     """
@@ -359,8 +364,8 @@ class RawOracle(OracleBase):
         return 1 if acc % self.modulus.p == 0 else 0
 
     def _line_index(self, base: Sequence[int], step: Sequence[int], seq) -> Optional[int]:
-        """The line scan of a range in closed form, of a buffer in numpy,
-        of a tuple one remainder per item.
+        """The line scan of a range in closed form, of an array by its own
+        remainder, of a tuple one remainder per item.
 
         The query base + x*step is accepted exactly when
         c0 + x*c1 = 0 (mod p), with c0 = n.base and c1 = n.step for the
@@ -507,16 +512,13 @@ def _check_line(oracle, base: Sequence[int], step: Sequence[int]) -> None:
         _check_width(oracle, len(step))
 
 
-# The native integer formats of a buffer that a scan reads in numpy.
-_INT_FORMATS = frozenset("bBhHiIlLqQ")
-
-
 def _index_length(candidates) -> Optional[int]:
     """The number of candidates of a scan that can index them, or None.
 
     A tuple of exact ints (no bool, no numpy integer), a range or a
-    one-dimensional integer buffer can be indexed; a range is counted
-    also when it is longer than sys.maxsize, where len() overflows.
+    one-dimensional integer numpy array can be indexed; a range is
+    counted also when it is longer than sys.maxsize, where len()
+    overflows.
     """
     if isinstance(candidates, tuple):
         for x in candidates:
@@ -525,10 +527,6 @@ def _index_length(candidates) -> Optional[int]:
         return len(candidates)
     if isinstance(candidates, range):
         return (candidates[-1] - candidates[0]) // candidates.step + 1 if candidates else 0
-    if isinstance(candidates, memoryview):
-        if candidates.ndim == 1 and candidates.format in _INT_FORMATS:
-            return len(candidates)
-        return None
     # No ndarray exists before numpy is imported, so the check imports nothing.
     np = sys.modules.get("numpy")
     if np is not None and isinstance(candidates, np.ndarray):
@@ -537,22 +535,19 @@ def _index_length(candidates) -> Optional[int]:
     return None
 
 
-def _first_residue(buffer, p: int, t: int) -> Optional[int]:
-    """The first index i with buffer[i] = t (mod p), or None.
+def _first_residue(values, p: int, t: int) -> Optional[int]:
+    """The first index i with values[i] = t (mod p), or None.
 
-    The one place a scan imports numpy: a memoryview is the one buffer
-    that can reach it before numpy is loaded.  numpy refuses a remainder
-    by a p that the values' own type cannot hold, so formats narrower
-    than 64 bits are widened to int64 first; every modulus is below
-    2^61, so int64 and uint64 hold it.  One pass over the whole buffer,
-    whose temporaries are the 64-bit values and their remainders, one
-    byte per value for the mask, and the indices of the hits.
+    ``values`` is a one-dimensional integer numpy array, read with its
+    own methods, so this module imports no numpy.  numpy refuses a
+    remainder by a p that the values' own type cannot hold, so types
+    narrower than 64 bits are widened to int64 first; every modulus is
+    below 2^61, so int64 and uint64 hold it.  One pass over the whole
+    array, whose temporaries are the 64-bit values and their remainders,
+    one byte per value for the mask, and the indices of the hits.
     """
-    import numpy as np
-
-    values = np.asarray(buffer)
-    work = np.int64 if values.dtype.itemsize < 8 else values.dtype
-    hits = np.flatnonzero(values.astype(work, copy=False) % p == t)
+    work = "int64" if values.dtype.itemsize < 8 else values.dtype
+    hits = (values.astype(work, copy=False) % p == t).nonzero()[0]
     return int(hits[0]) if hits.size else None
 
 

@@ -139,12 +139,15 @@ def recover_secret(algo: str, oracle, rng) -> Tuple[Optional[Residue], int, int]
 
     A DLOG or CDH recovery asks an honest handle built through escrow;
     the ``-random`` ones and ``brute-random`` draw from ``rng``.  The
-    result is None on a degenerate random instance.  An unknown name
-    raises ``ValueError`` before anything is built or charged.
+    result is None on a degenerate random instance.  An unknown name, or
+    a random one without an ``rng``, raises ``ValueError`` before anything
+    is built or charged.
     """
     if algo not in RECOVERIES:
         raise ValueError(f"unknown recovery {algo!r}, expected one of {', '.join(RECOVERIES)}")
     kind, _, order = algo.partition("-")
+    if order and rng is None:
+        raise ValueError(f"the recovery {algo!r} draws from an rng, got None")
     if kind == "brute":
         return brute_force_secret(oracle, rng if order else None), 0, 0
     if kind == "dlog":

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import json
 import math
 import operator
@@ -271,13 +272,14 @@ def _two_valued_choice(n: int, j: int, t: float, u: float, x: float) -> int:
     return bisect.bisect_right(range(n), x, key=lambda i: partial_sum(i) / last)
 
 
-def _evolve(n: int, target: int, iterations: int) -> tuple:
-    """The pair (t, u) after ``iterations`` steps from the uniform state,
-    its norm checked after every step."""
+def _walk(n: int, target: int):
+    """The pairs (t, u) after 0, 1, 2, ... steps from the uniform state,
+    the norm checked after every step; a step is taken only when its
+    pair is asked for."""
     t = u = 1.0 / math.sqrt(n)
-    for _ in range(iterations):
+    while True:
+        yield t, u
         t, u = _two_valued_step(n, target, t, u)
-    return t, u
 
 
 def _iteration_count(iterations) -> int:
@@ -313,7 +315,7 @@ def simulate_search(n_states: int, target: int, iterations: int) -> np.ndarray:
     pairwise order, which moves the last bits).
     """
     _check_states(n_states, target)
-    t, u = _evolve(n_states, target, _iteration_count(iterations))
+    t, u = next(itertools.islice(_walk(n_states, target), _iteration_count(iterations), None))
     amplitudes = np.full(n_states, u, dtype=np.float64)
     amplitudes[target] = t
     _check_norm(amplitudes)
@@ -346,18 +348,18 @@ def grover_search(oracle, iterations: Optional[int] = None, rng=None) -> GroverR
     phase oracle once and is charged as one query on ``oracle``, so the
     reported query count equals the iteration count and a budget below
     it raises ``QueryBudgetExceeded``.
-    The state is evolved as its two values (``_evolve``), and measurement
+    The state is evolved as its two values (``_walk``), and measurement
     takes one uniform double from ``rng`` and returns what
     ``Generator.choice`` would draw from the squared state vector with
     it (``_two_valued_choice``), so a fixed rng implies a fixed outcome
-    and no p-sized array is built.  ``MAX_STATES`` still bounds p.
+    and no p-sized array is built.  ``MAX_STATES`` still bounds p, as in
+    ``simulate_search`` and the curve (``_check_states``).
     """
     if oracle.level != 1:
         raise ValueError(f"level-1 oracle required, got level {oracle.level}")
     p = oracle.modulus.p
-    if p > MAX_STATES:
-        raise ValueError(f"p = {p} exceeds the state guard {MAX_STATES}")
     target = oracle.reveal_hidden(Escrow()).coords[1]
+    _check_states(p, target)
     k = optimal_iterations(p) if iterations is None else _iteration_count(iterations)
     # Charge the k phase-oracle applications before the state evolves,
     # so a budget below k runs no step.  Each asks about the escrowed
@@ -365,7 +367,7 @@ def grover_search(oracle, iterations: Optional[int] = None, rng=None) -> GroverR
     for _ in range(k):
         if first_on_line(oracle, (target,)) is None:
             raise DishonestOracleError(f"oracle rejects its escrowed secret {target}")
-    t, u = _evolve(p, target, k)
+    t, u = next(itertools.islice(_walk(p, target), k, None))
     if rng is None:
         rng = np.random.default_rng()
     return GroverRun(
@@ -393,26 +395,23 @@ class CurvePoint:
 def quantum_query_curve(ps: Sequence[int]) -> List[CurvePoint]:
     """For each p, the smallest k with simulated success >= 2/3.
 
-    Evolves one state per p, reading the success probability after every
-    iteration.  The found k always satisfies k <= ceil(pi/4 * sqrt(p));
-    exceeding that bound would mean the simulator is broken and raises.
+    Walks one state per p, reading the success probability t * t after
+    every iteration, as ``grover_search`` reports it.  The found k always
+    satisfies k <= ceil(pi/4 * sqrt(p)); exceeding that bound would mean
+    the simulator is broken and raises.
     """
     points = []
     for p in ps:
         _check_states(p, 0)
-        t = u = 1.0 / math.sqrt(p)
         bound = math.ceil(math.pi / 4 * math.sqrt(p))
-        k = 0
-        success = abs(t) ** 2
-        while success < 2 / 3:
+        for k, (t, _) in enumerate(_walk(p, 0)):
+            if t * t >= 2 / 3:
+                break
             if k >= bound:
                 raise AssertionError(
                     f"success 2/3 not reached within ceil(pi/4 sqrt(p)) = {bound}"
                 )
-            t, u = _two_valued_step(p, 0, t, u)
-            k += 1
-            success = abs(t) ** 2
-        points.append(CurvePoint(p=p, iterations=k, success_probability=success))
+        points.append(CurvePoint(p=p, iterations=k, success_probability=t * t))
     return points
 
 

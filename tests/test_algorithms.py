@@ -607,6 +607,18 @@ def test_given_secret_refuses_level2_and_mixed_modulus():
         cdh_given_secret(3, DHInstance(g, h11, elem(pm, 0, 1)))
 
 
+def test_given_secret_refuses_a_residue_of_another_modulus():
+    # A Residue secret is read modulo its own prime only.
+    pm7, pm11 = PrimeModulus(7), PrimeModulus(11)
+    g, h = elem(pm11, 1, 0), elem(pm11, 0, 1)
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        dlog_given_secret(Residue(3, pm7), g, h)
+    with pytest.raises(ValueError, match="modulus mismatch"):
+        cdh_given_secret(Residue(3, pm7), DHInstance(g, h, elem(pm11, 1, 1)))
+    assert dlog_given_secret(Residue(3, pm11), g, h) == Residue(3, pm11)
+    assert cdh_given_secret(Residue(3, pm11), DHInstance(g, h, elem(pm11, 1, 1))).coords == (1, 0)
+
+
 # ------------------------------------------------------------- lift / project
 
 
@@ -901,7 +913,7 @@ def _embedded_scans(draw):
         values = range(start, start + stride * draw(st.integers(0, 3 * p)), stride)
     elif kind in ("permutation", "memoryview"):
         values = np.random.default_rng(draw(st.integers(0, 2**32))).permutation(p)
-        if kind == "memoryview":  # as brute_force_secret hands a random order over
+        if kind == "memoryview":  # scanned query by query
             values = memoryview(values)
     elif kind == "int64":  # negative values and values >= p
         values = np.array(draw(st.lists(wide, max_size=2 * p)), dtype=np.int64)
@@ -919,8 +931,8 @@ def _embedded_scans(draw):
     elif line == "aimed" and len(values):  # a hit at a drawn candidate
         x = int(values[draw(st.integers(0, len(values) - 1))])
         base = _moved_onto(base, effective, j0, p, x, step)
-    # A range, buffer or tuple handed over as it is takes the leaf's index;
-    # an iterator over it takes the query loop and keeps what was not drawn.
+    # A range handed over as it is takes the leaf's index, and any other
+    # candidates the query loop; an iterator keeps what was not drawn.
     as_given = draw(st.sampled_from((True, True, False)))
     budget = draw(st.none() | st.integers(0, len(values) + 2))
     spent = 0 if budget is None else draw(st.integers(0, budget))
@@ -964,7 +976,7 @@ def test_mults_below_is_the_sum_of_the_charges():
 def test_embedded_index_scans_at_the_largest_modulus():
     # p = 2^61 - 1 with q = 52p + 1: the scan by index bounds its discrete
     # log by the budget's room, so short budgeted ranges stay cheap, and
-    # tests a buffer one power per value; it matches the loop
+    # asks an int64 array query by query; it matches the loop
     # oracle's hit, queries, mults and refusal, also on a range that wraps
     # past p and on int64 values beyond p.
     p = 2**61 - 1
@@ -1080,8 +1092,8 @@ class _FixedOrder:
 
 @pytest.mark.parametrize("p", [101, 1009, 10007])
 def test_brute_force_random_order_matches_the_int_map(p):
-    # The permutation is scanned through a memoryview; the secret found and
-    # the queries spent equal those of the former map(int, ...) candidates.
+    # The permutation is scanned as the integer array it is; the secret
+    # found and the queries spent equal those of map(int, ...) candidates.
     pm = PrimeModulus(p)
     for seed in range(4):
         secret = int(np.random.default_rng([p, seed]).integers(p))

@@ -480,9 +480,10 @@ def _as_ints(values):
 @settings(max_examples=600, deadline=None)
 @given(_indexed_scans())
 def test_indexed_scan_matches_the_query_loop(case):
-    # A range, integer buffer or tuple of ints is scanned by index, asking
-    # no query, and gives the hit, count, refusal and message of the query
-    # loop over the same values as ints, directly and under a view.
+    # A range, integer array or tuple of ints is scanned by index, asking
+    # no query, and a memoryview query by query; each gives the hit, count,
+    # refusal and message of the query loop over the same values as ints,
+    # directly and under a view.
     p, normal, view, perm, base, step, values, budget, spent, any_room = case
     _, unbudgeted = _build_view(p, normal, view, perm, None, 0)
     _scan_by_queries(unbudgeted, base, step, _as_ints(values))
@@ -490,6 +491,8 @@ def test_indexed_scan_matches_the_query_loop(case):
     room = {"none": None, "zero": 0, "hit": asked, "short": max(asked - 1, 0), "any": any_room}[budget]
     outcomes = []
     no_query = mock.patch.object(RawOracle, "_answer", side_effect=AssertionError("asked a query"))
+    if isinstance(values, memoryview):
+        no_query = contextlib.nullcontext()
     for scan, candidates, guard in (
         (_scan_by_queries, _as_ints(values), contextlib.nullcontext()),
         (scan_line, values, no_query),

@@ -61,16 +61,15 @@ assert brute_force_secret(oracle).value == 1000
 assert oracle.queries == 1001
 assert loaded() == [], loaded()
 
-# A memoryview scan is answered in numpy, which it loads, with the hit and
-# the charge of the query loop.
+# A tuple and a memoryview are scanned with the hit and the charge of the
+# query loop, and load no numpy.
 values = array("q", [5, 1009 + 3, 700 + 2 * 1009, 700, 9])
 scans = []
-for candidates in (iter(values), memoryview(values)):
+for candidates in (iter(values), tuple(values), memoryview(values)):
     oracle = IdentityOracle.level1(PrimeModulus(1009), 700)
     scans.append((first_on_line(oracle, candidates), oracle.queries))
-    assert ("numpy" in sys.modules) == isinstance(candidates, memoryview)
-assert scans == [(700 + 2 * 1009, 3)] * 2, scans
-assert loaded() == ["numpy"], loaded()
+assert scans == [(700 + 2 * 1009, 3)] * 3, scans
+assert loaded() == [], loaded()
 """
 
 STUDY_NAMES = r"""
@@ -116,9 +115,9 @@ def _run_fresh(code):
 
 
 def test_import_loads_only_the_level1_core():
-    # The DDH decision at both bench moduli, the CDH reduction and a brute
-    # force over a range run without numpy or any study module; a
-    # memoryview scan is the one level-1 path that loads numpy.
+    # The DDH decision at both bench moduli, the CDH reduction, a brute
+    # force over a range and tuple and memoryview scans run without numpy
+    # or any study module.
     _run_fresh(LEVEL1_CORE)
 
 

@@ -2,9 +2,12 @@
 ``recover_secret`` over ``RECOVERIES``, ``run_lift_agreement`` and
 ``run_embedding``."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from dhbox import experiments
 from dhbox.algorithms import (
     honest_cdh_oracle,
     honest_dlog_oracle,
@@ -99,6 +102,19 @@ def test_unknown_recovery_is_refused_with_nothing_charged(algo):
     with pytest.raises(ValueError, match="unknown recovery"):
         recover_secret(algo, o, rng)
     assert o.queries == 0 and rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("algo", ["dlog-random", "cdh-random", "brute-random"])
+def test_random_recovery_without_rng_is_refused_with_nothing_charged(algo):
+    # A random order needs an rng: without one nothing is scanned in
+    # order, and no handle is built.
+    s, o, _ = _secret_oracle(0)
+    built = AssertionError("a handle was built")
+    with mock.patch.object(experiments, "honest_dlog_oracle", side_effect=built), \
+            mock.patch.object(experiments, "honest_cdh_oracle", side_effect=built):
+        with pytest.raises(ValueError, match="draws from an rng"):
+            recover_secret(algo, o, None)
+    assert o.queries == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 3, 20260810])
