@@ -12,7 +12,10 @@ The two counting facts doing the real work: a query hyperplane contains
 at most 2 positive vectors (the positives form a conic, which a
 hyperplane meets in the roots of a quadratic), and at most p vectors in
 total.  Both maxima are met at every odd prime, so they are printed in
-closed form, (2, p), not observed by a walk over the query classes.
+closed form, (2, p).  The worst-case ratios are closed forms too, proved
+in the ``dhbox.adversary`` docstring: every query is one of four types,
+and h = (0,1,2), the first query whose hyperplane holds two positives,
+minimizes both ratios, so the randomized one is (p-1)/2 for p >= 5.
 """
 
 from fractions import Fraction
@@ -32,8 +35,8 @@ for p in (3, 5, 7, 11, 13):
     case1, case2 = case_count_extremes(p)
     print(f"  p={p:2d}: maxima {case1} and {case2}, both met")
 
-print("\nexhaustive worst-case ratios (the randomized one scales like p/2, "
-      "its square-rooted companion like sqrt(p/2)):")
+print("\nworst-case ratios over every query, in closed form (the randomized "
+      "one scales like p/2, its square-rooted companion like sqrt(p/2)):")
 print(f"  {'p':>3} {'randomized':>11} {'ratio/p':>8} {'quantum':>8}  witness query h")
 for p in (3, 5, 7, 11, 13, 17, 23, 31):
     rep = adversary_bounds(p)

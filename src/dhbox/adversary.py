@@ -1,30 +1,55 @@
-"""Exact weighted-adversary quantities for level-2 DDH.
+"""Exact weighted-adversary quantities for level-2 DDH, in closed form.
 
 The fixed input is the quadruple ((1,0,0), (0,1,0), (0,0,1), (0,1,1)),
 whose first element generates the group under every hidden vector
 (1, n_1, n_2).  The quadruple is a DH-quadruple exactly when
 n_1 + n_2 = n_1 * n_2; vectors satisfying this are called positive, the
-rest negative.  The adversary matrix puts weight 1 between every
-positive/negative pair, and restricting it to pairs distinguished by a
-query h yields the per-query row sums whose worst-case ratios lower-bound
-the randomized and quantum query complexity.
+rest negative: sn = p - 1 positives and sp = p^2 - p + 1 negatives.  The
+adversary matrix (Ambainis, "Quantum lower bounds by quantum arguments",
+2002) puts weight 1 between every positive/negative pair, so its row sum
+is sp at a positive vector and sn at a negative one.  A query h keeps
+the pairs whose oracle answers at h differ; with a and b the restricted
+row sums at the positive and the negative vector, max(sp/a, sn/b)
+bounds the randomized and sp*sn/(a*b) the squared quantum query count,
+minimized over every admissible (n, n', h) with a, b >= 1.  Both are
+sp*sn over an integer key, min(sn*a, sp*b) and a*b, so the minimum sits
+where the key is largest.
 
-Row sums of the restricted matrix depend only on h, the polarity of the
-row vector and its oracle answer at h, so the search over all admissible
-(n, n', h) collapses to four counts per h: positives/negatives on and off
-the hyperplane of h.  Those counts are the same for h and every nonzero
-multiple of h, so only the p^2 + p + 1 projective classes are walked,
-each by its lexicographically first member (leading coordinate 1).  In
-x = n_1 - 1 the positives are the conic x * (n_2 - 1) = 1 with x != 0,
-so the positives on a hyperplane are the nonzero roots of a quadratic,
-counted by one Legendre symbol of its discriminant.  A class thus holds
-0, 1 or 2 positives among its p points, or is the empty class (1,0,0),
-and its row sums are those of one of four types.  Each ratio is a
-constant over an integer key, so its minimum is the first maximum of
-the key over the walk, which stops at the first class reaching the
-largest key of the four types.  Keys are Python ints, so reported
-values are exact at every modulus and never owe anything to float
-rounding.
+Proof of the closed form, with A = p^2 - 2p + 3:
+
+1. Four types.  In x = n_1 - 1 the positives are n_1 = 1 + x,
+   n_2 = 1 + 1/x with x != 0, so those on the hyperplane
+   h_0 + h_1 n_1 + h_2 n_2 = 0 are the nonzero roots of
+   h_1 x^2 + (h_0 + h_1 + h_2) x + h_2, a nonzero polynomial for h != 0
+   (h = 0 separates no pair): at most two.  The hyperplane holds p
+   points unless h_1 = h_2 = 0, and none then.  So (positives on it,
+   negatives on it) is (0, 0), only for multiples of (1,0,0), or
+   (0, p), (1, p-1) or (2, p-2).
+2. Admissible pairs.  Kind A: the positive answers 1, the negative 0,
+   a = sp - (negatives on), b = (positives on).  Kind B, the reverse:
+   a = (negatives on), b = sn - (positives on).  Type (0, 0) has none;
+   (0, p) has B (p, p-1); (1, p-1) has A (p^2-2p+2, 1) and B (p-1, p-2);
+   (2, p-2) has A (A, 2), and B (p-2, p-3) when p >= 5.
+3. The winner.  Every pair but (2, p-2) kind A has b = 1 and
+   a <= p^2-2p+2, or a <= p and b <= p-1.  So its randomized key is at
+   most max(sp, p(p-1)) = sp and its quantum key at most
+   max(p^2-2p+2, p(p-1)).  Kind A of (2, p-2) has the keys
+   min(sn*A, 2sp) > sp and 2A, larger than both, at every odd p.
+4. The first class.  h and its nonzero multiples have the same counts,
+   and each class's lexicographically first member has leading nonzero
+   coordinate 1: (0,0,1), (0,1,0), (0,1,1), (0,1,2), ...  The first
+   three give x + 1, x^2 + x and (x + 1)^2, one nonzero root each.
+   (0,1,2) gives x^2 + 3x + 2 = (x + 1)(x + 2), two distinct nonzero
+   roots at every odd p.  So h = (0,1,2), kind A, is the first minimizer
+   of both ratios.
+5. The witnesses.  At h = (0,1,2) the first positive on the hyperplane
+   n_1 + 2 n_2 = 0 is (1,0,0), the first vector of all; the first
+   negative off it is (1,0,1).
+
+Hence the randomized ratio sp*sn / min(sn*A, 2sp), (p-1)/2 for p >= 5,
+and the squared quantum ratio sp*sn / (2A), with the witness
+((1,0,0), (1,0,1), (0,1,2), A, 2) for both.  Every value is a Python
+int or ``Fraction``, exact at every modulus.
 """
 
 from __future__ import annotations
@@ -32,10 +57,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import List, Tuple
 
-from .modmath import PrimeModulus, _inv_int, _legendre_int
+from .modmath import PrimeModulus, _inv_int
 
 DEFAULT_ENUMERATION_GUARD = 31
 
@@ -43,13 +67,15 @@ DEFAULT_ENUMERATION_GUARD = 31
 FIXED_INSTANCE = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1))
 
 
-def check_enumeration_guard(p: int, force: bool) -> None:
-    """Validate the prime and refuse p beyond the guard unless ``force``."""
-    PrimeModulus(p)
+def check_enumeration_guard(p: int, force: bool) -> int:
+    """Validate the prime, refuse p beyond the guard unless ``force``,
+    and return p as an ``int`` (a numpy integer is read as its value)."""
+    p = PrimeModulus(p).p
     if p > DEFAULT_ENUMERATION_GUARD and not force:
         raise ValueError(
             f"p = {p} exceeds the enumeration guard {DEFAULT_ENUMERATION_GUARD}; pass force=True"
         )
+    return p
 
 
 @dataclass(frozen=True)
@@ -76,7 +102,7 @@ def classify(p: int) -> List[ClassifiedVector]:
     Exactly p - 1 are positive: n1 = 1 admits no partner, and every other
     n1 forces n2 = n1 / (n1 - 1).
     """
-    PrimeModulus(p)
+    p = PrimeModulus(p).p
     return [
         ClassifiedVector(n1, n2, is_positive(p, n1, n2))
         for n1 in range(p)
@@ -86,6 +112,7 @@ def classify(p: int) -> List[ClassifiedVector]:
 
 def positive_pairs(p: int) -> List[Tuple[int, int]]:
     """The p - 1 positive (n1, n2) pairs, from the closed form."""
+    p = PrimeModulus(p).p
     pairs = []
     for n1 in range(p):
         if n1 == 1:
@@ -108,7 +135,8 @@ def sigma_gamma_h(p: int, vec: ClassifiedVector, h: Tuple[int, int, int]) -> int
     """Row sum of the h-restricted matrix at vec, by direct enumeration.
 
     Counts opposite-polarity vectors whose oracle answer at h differs
-    from vec's.  O(p^2); the aggregated path below is the fast route.
+    from vec's.  O(p^2): the small-p reference for the witnesses'
+    row sums that ``adversary_bounds`` reports in closed form.
     """
     own = identity_value(p, vec.n1, vec.n2, h)
     count = 0
@@ -121,90 +149,17 @@ def sigma_gamma_h(p: int, vec: ClassifiedVector, h: Tuple[int, int, int]) -> int
     return count
 
 
-def _type_pairs(p: int) -> dict:
-    """The admissible (kind, a, b) of each class type (pos_on, neg_on).
-
-    A class holds 0, 1 or 2 positives (the roots of a nonzero quadratic)
-    among its p points, or is the empty class (1,0,0), so it is one of
-    four types.  Kind A (0) has the positive row answer 1 and the
-    negative row 0; kind B (1) the reverse.  a is the row sum at the
-    positive vector (the negatives answering otherwise) and b the one at
-    the negative vector; a kind is admissible when both are at least 1,
-    that is when both rows exist.  A comes before B, as in a loop over h
-    trying A first.
-    """
-    n_pos, n_neg = p - 1, p * p - p + 1
-    types = {}
-    for pos_on, neg_on in ((0, 0), (0, p), (1, p - 1), (2, p - 2)):
-        kinds = ((0, n_neg - neg_on, pos_on), (1, neg_on, n_pos - pos_on))
-        types[pos_on, neg_on] = [(kind, a, b) for kind, a, b in kinds if a >= 1 and b >= 1]
-    return types
-
-
-def _admissible_pairs(p: int):
-    """Every admissible (h, kind, a, b), walking the query classes in order.
-
-    Each of the p^2 + p + 1 projective classes is given by its
-    lexicographically first member, the one whose leading nonzero
-    coordinate is 1: (0,0,1), then (0,1,x), then (1,a,b).  These members
-    come in lexicographic order too, so the first extremum over classes
-    is the first extremum over all h.
-
-    The positives are n1 = 1 + x, n2 = 1 + 1/x for x != 0, so with
-    S = h0 + h1 + h2 those on the hyperplane of h are the nonzero roots x
-    of h1 x^2 + S x + h2: 1 + (disc/p) of them when h1 != 0 (less the
-    root x = 0 when h2 = 0), else one when h2 != 0 and S != 0.  The
-    hyperplane holds p points when (h1, h2) != 0; only h = (1,0,0) has
-    none.  A class outside ``_type_pairs`` would raise ``KeyError``.
-    """
-    pairs = _type_pairs(p)
-    tail = ((1, a, b) for a in range(p) for b in range(p))
-    for h in chain([(0, 0, 1)], ((0, 1, x) for x in range(p)), tail):
-        h0, h1, h2 = h
-        s = h0 + h1 + h2
-        if h1:
-            pos_on = 1 + _legendre_int(s * s - 4 * h1 * h2, p) - (h2 == 0)
-        else:
-            pos_on = int(h2 != 0 and s % p != 0)
-        for pair in pairs[pos_on, (p if h1 or h2 else 0) - pos_on]:
-            yield (h, *pair)
-
-
-def _key_top(p: int, key) -> int:
-    """The largest key(kind, a, b) over the class types: no class exceeds it."""
-    return max(key(*pair) for pairs in _type_pairs(p).values() for pair in pairs)
-
-
-def _first_max(p: int, key):
-    """The largest key(kind, a, b) over the walk and its first (h, kind, a, b).
-
-    Every one of the four class types is met by some class, so
-    ``_key_top`` is reached, and the result is the first walked class
-    whose key equals it: the first maximum over every class.
-    """
-    top = _key_top(p, key)
-    return top, next(cand for cand in _admissible_pairs(p) if key(*cand[1:]) == top)
-
-
-def case_count_extremes(p: int):
+def case_count_extremes(p: int) -> Tuple[int, int]:
     """Largest restricted row sums over all admissible (n, n', h): (2, p).
 
     For a pair distinguished by h, the negative side answering 0 has row
-    sum equal to the number of positives on the hyperplane (at most 2:
-    they are roots of a nonzero quadratic), and the positive side
-    answering 0 has row sum equal to the number of negatives on the
-    hyperplane (at most p: a nonzero linear equation).  Returns the
-    maxima of the two counts, b over kind A and a over kind B, as
-    ``_key_top`` of each, and both bounds are met at every odd prime:
-    the hyperplane through two of the p - 1 >= 2 positives holds exactly
-    2 positives, where kind A is admissible, and (1,0,-1) holds no
-    positive, where kind B is admissible with a = p.
+    sum equal to the number of positives on the hyperplane, and the
+    positive side answering 0 has row sum equal to the number of
+    negatives on it.  By the module's proof these are at most 2 and p,
+    and both are met at every odd prime: (0,1,2) holds two positives,
+    and (1,0,-1), the hyperplane n_2 = 1, p negatives and no positive.
     """
-    PrimeModulus(p)
-    return (
-        _key_top(p, lambda kind, a, b: b * (1 - kind)),
-        _key_top(p, lambda kind, a, b: a * kind),
-    )
+    return 2, PrimeModulus(p).p
 
 
 @dataclass(frozen=True)
@@ -262,74 +217,32 @@ class AdversaryReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _first_vector(p: int, positive: bool, h: Tuple[int, int, int], answer: int) -> Tuple[int, int, int]:
-    """Lexicographically first vector of given polarity and answer at h.
-
-    O(p): column n1 holds one positive, n2 = n1 / (n1 - 1) (none at
-    n1 = 1), and meets the hyperplane h0 + h1 n1 + h2 n2 = 0 in one n2
-    when h2 != 0, else in the whole column or not at all.  So a negative
-    on the hyperplane with h2 != 0 can only be that one n2, and any other
-    negative sought is among n2 = 0, 1, 2, of which at most two are
-    excluded.  The scan stops at the first column that holds a match:
-    at the class the walk of ``adversary_bounds`` stops at, h = (0,1,2),
-    both witnesses lie in column n1 = 0.
-    """
-    h0, h1, h2 = h
-    for n1 in range(p):
-        if positive:
-            column = () if n1 == 1 else (n1 * pow(n1 - 1, -1, p) % p,)
-        elif answer and h2 % p:
-            column = (-(h0 + h1 * n1) * pow(h2, -1, p) % p,)
-        else:
-            column = (0, 1, 2)
-        for n2 in column:
-            if is_positive(p, n1, n2) == positive and identity_value(p, n1, n2, h) == answer:
-                return (1, n1, n2)
-    raise AssertionError("no vector matches an admissible kind")
-
-
 def adversary_bounds(p: int, force: bool = False) -> AdversaryReport:
     """Exact worst-case adversary ratios, minimized over every query.
 
-    For every query h and each of the two admissible answer patterns, the
-    randomized candidate is max of the two row-sum ratios and the quantum
-    candidate is the product ratio; both are minimized over all h, with
-    lexicographically first witnesses.
-
-    Each ratio is sp*sn over an integer key, so its first minimum is
-    ``_first_max`` of the key: the walk over the projective query classes
-    in query order, stopped at the first class that reaches the largest
-    key any class can have.  At every prime checked that is the fourth
-    class, h = (0,1,2), so the report needs no enumeration and holds at
-    any modulus.  Only the two minima become ``Fraction``s.  The guard
-    rejects p beyond 31 unless ``force`` is set.
+    For every query h and each admissible answer pattern, the randomized
+    candidate is the larger of the two row-sum ratios and the quantum
+    candidate their product; both are minimized over all h, with
+    lexicographically first witnesses.  The module's proof gives the
+    minima in closed form, so nothing is enumerated and the report holds
+    at any modulus.  The guard still rejects p beyond 31 unless
+    ``force`` is set.
     """
-    check_enumeration_guard(p, force)
+    p = check_enumeration_guard(p, force)
     sp = p * p - p + 1  # row sum at a positive vector
     sn = p - 1  # row sum at a negative vector
-
-    # Both ratios are sp*sn over an integer key, smallest where the key is
-    # largest.  Randomized: max(sp/a, sn/b) = sp*sn / min(sn*a, sp*b).
-    # Quantum: sp*sn / (a*b).
-    rand_key, r = _first_max(p, lambda kind, a, b: min(sn * a, sp * b))
-    quad_key, q = _first_max(p, lambda kind, a, b: a * b)
-    best_quad = Fraction(sp * sn, quad_key)
-
-    def witness(cand) -> Witness:
-        h, kind, a, b = cand
-        n = _first_vector(p, True, h, 1 - kind)
-        n_prime = _first_vector(p, False, h, kind)
-        return Witness(n, n_prime, h, a, b)
-
+    a = p * p - 2 * p + 3  # restricted row sum at the positive witness
+    quad = Fraction(sp * sn, 2 * a)
+    witness = Witness((1, 0, 0), (1, 0, 1), (0, 1, 2), a, 2)
     return AdversaryReport(
         p=p,
         count_positive=sn,
         count_negative=sp,
         sigma_positive=sp,
         sigma_negative=sn,
-        worst_ratio_randomized=Fraction(sp * sn, rand_key),
-        worst_ratio_quantum_squared=best_quad,
-        worst_ratio_quantum=float(best_quad) ** 0.5,
-        witness_randomized=witness(r),
-        witness_quantum=witness(q),
+        worst_ratio_randomized=Fraction(sp * sn, min(sn * a, 2 * sp)),
+        worst_ratio_quantum_squared=quad,
+        worst_ratio_quantum=float(quad) ** 0.5,
+        witness_randomized=witness,
+        witness_quantum=witness,
     )

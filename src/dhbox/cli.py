@@ -192,11 +192,14 @@ def _cmd_lift(args) -> int:
 
 def _cmd_embed(args) -> int:
     p = PrimeModulus(_single_p(args)).p  # refused before the exponents are drawn mod p
-    if args.a is None or args.b is None or args.c is None:
+    exponents = (args.a, args.b, args.c)
+    if exponents.count(None) not in (0, 3):
+        raise ValueError("give all of --a, --b and --c, or none of them to draw all three")
+    if None in exponents:
         rng = trial_rng(args.seed, 400)
         a, b, c = (int(x) for x in rng.integers(0, p, size=3))
     else:
-        a, b, c = args.a, args.b, args.c
+        a, b, c = exponents
     gens, answer, direct, oracle = run_embedding(p, args.q, a, b, c)
     print(f"exponents: a={a % p} b={b % p} c={c % p} (mod {p}); subgroup elements {gens} mod {args.q}")
     print(f"DDH via embedded oracle: {'yes' if answer else 'no'}")

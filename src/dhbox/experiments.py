@@ -102,6 +102,7 @@ def run_scaling(ps: Sequence[int], trials: int, seed: int) -> List[ScalingRow]:
     rows = []
     for p in ps:
         modulus = PrimeModulus(p)
+        p = modulus.p
         total = 0
         worst = 0
         for t in range(trials):
@@ -193,6 +194,7 @@ def run_reduction_success(p: int, trials: int, seed: int) -> List[ReductionRow]:
     not exclude the bound from above.
     """
     modulus = PrimeModulus(p)
+    p = modulus.p
     check_trials(trials)
     rows = []
     for tag, name, bound in ((1, "dlog-random", (p - 1) / p), (2, "cdh-random", (p - 2) / p)):
@@ -272,6 +274,7 @@ def run_embedding(p: int, q: int, a: int, b: int, c: int
     embedding is sound.
     """
     modulus = PrimeModulus(p)
+    p = modulus.p
     powers = (pow(w, (q - 1) // p, q) for w in range(2, q))
     g1 = next((x for x in powers if x != 1), None)
     if g1 is None:
@@ -457,7 +460,7 @@ def run_level2_solution_counts(p: int, trials: int, seed: int, force: bool = Fal
     min(1, 7/p) plus three binomial sigmas.  The guard refuses p > 31
     unless ``force`` is set.
     """
-    check_enumeration_guard(p, force)
+    p = check_enumeration_guard(p, force)
     check_trials(trials)
     bad = 0
     bad_samples: List[SolutionCountSample] = []

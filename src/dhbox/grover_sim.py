@@ -398,10 +398,11 @@ def quantum_query_curve(ps: Sequence[int]) -> List[CurvePoint]:
     Walks one state per p, reading the success probability t * t after
     every iteration, as ``grover_search`` reports it.  The found k always
     satisfies k <= ceil(pi/4 * sqrt(p)); exceeding that bound would mean
-    the simulator is broken and raises.
+    the simulator is broken and raises.  Each p is read through
+    ``operator.index``, so a numpy integer gives the int's points.
     """
     points = []
-    for p in ps:
+    for p in map(operator.index, ps):
         _check_states(p, 0)
         bound = math.ceil(math.pi / 4 * math.sqrt(p))
         for k, (t, _) in enumerate(_walk(p, 0)):

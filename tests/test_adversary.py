@@ -9,11 +9,6 @@ import pytest
 
 from dhbox.adversary import (
     ClassifiedVector,
-    _admissible_pairs,
-    _first_max,
-    _first_vector,
-    _key_top,
-    _type_pairs,
     adversary_bounds,
     case_count_extremes,
     classify,
@@ -65,7 +60,7 @@ def _hyperplane_counts(p):
 
 def _class_counts(p):
     """Reference per-query counts over the p^2 + p + 1 projective query
-    classes, as numpy arrays in the walk's class order.
+    classes, as numpy arrays in query order.
 
     Each class is given by its lexicographically first member: (0,0,1),
     then (0,1,x), then (1,a,b).  Returns the class coordinates and flat
@@ -108,6 +103,21 @@ def _reference_pairs(p):
     j = np.flatnonzero((a >= 1) & (b >= 1))
     i, kind = j // 2, j % 2
     return np.stack([h0[i], h1[i], h2[i], kind, a[j], b[j]], axis=1)
+
+
+def _table_first_maxima(p):
+    """The first maximum of each ratio key over the class table, as
+    (key, ((h0, h1, h2), kind, a, b)): the randomized key
+    min(sn*a, sp*b), then the quantum key a*b."""
+    rows = _reference_pairs(p)
+    a, b = rows[:, 4], rows[:, 5]
+    sp, sn = p * p - p + 1, p - 1
+    maxima = []
+    for values in (np.minimum(sn * a, sp * b), a * b):
+        first = int(np.argmax(values))
+        h0, h1, h2, kind, ra, rb = (int(v) for v in rows[first])
+        maxima.append((int(values[first]), ((h0, h1, h2), kind, ra, rb)))
+    return maxima
 
 
 def reference_first_vector(p, positive, h, answer):
@@ -266,20 +276,16 @@ def test_case_count_extremes_matches_reference():
         assert case_count_extremes(p) == (int(pos_on[kind_a].max()), int(neg_on[kind_b].max()))
 
 
-def test_first_vector_matches_reference_scan():
-    # Every h, both polarities and both answers, including the ones no
-    # vector realizes (h = 0 answering 0, (1,0,0) answering 1).
-    for p in (3, 5, 7, 11, 13):
-        for h in product(range(p), repeat=3):
-            for positive in (True, False):
-                for answer in (0, 1):
-                    try:
-                        expected = reference_first_vector(p, positive, h, answer)
-                    except AssertionError:
-                        with pytest.raises(AssertionError):
-                            _first_vector(p, positive, h, answer)
-                    else:
-                        assert _first_vector(p, positive, h, answer) == expected
+def test_witnesses_are_the_reference_first_vectors_below_250():
+    # Each witness is the p^2 reference scan's first positive and first
+    # negative vector answering as the class table's first maximum asks:
+    # the positive answers 1 - kind, the negative kind.
+    for p in PRIMES_BELOW_250:
+        rep = adversary_bounds(p, force=True)
+        witnesses = (rep.witness_randomized, rep.witness_quantum)
+        for wit, (_, (h, kind, _, _)) in zip(witnesses, _table_first_maxima(p)):
+            assert wit.n == reference_first_vector(p, True, h, 1 - kind), p
+            assert wit.n_prime == reference_first_vector(p, False, h, kind), p
 
 
 def test_sigma_gamma_h_direct_spot_checks():
@@ -394,6 +400,76 @@ def test_randomized_key_identity():
                 assert max(Fraction(sp, a), Fraction(sn, b)) == Fraction(sp * sn, min(sn * a, sp * b))
 
 
+def test_closed_form_proof_with_sympy():
+    # The proof in the adversary module's docstring, step by step.
+    import sympy
+
+    p, q, x = sympy.symbols("p q x")
+    sp, sn, big_a = p**2 - p + 1, p - 1, p**2 - 2 * p + 3
+
+    def at_least(expr, bound, start):
+        # expr >= bound at every integer p >= start: in q = p - start,
+        # expr - bound has no negative coefficient.
+        poly = sympy.Poly(sympy.expand((expr - bound).subs(p, q + start)), q)
+        return all(c >= 0 for c in poly.all_coeffs())
+
+    # Kind A then kind B (a, b) of each type (positives on, negatives on).
+    pairs = []
+    for pos_on, neg_on in ((0, 0), (0, p), (1, p - 1), (2, p - 2)):
+        pairs += [(sp - neg_on, pos_on), (neg_on, sn - pos_on)]
+    pairs = [(sympy.expand(a), sympy.expand(b)) for a, b in map(sympy.sympify, pairs)]
+    win_a, win_b = pairs.pop(6)  # type (2, p-2), kind A
+    assert win_a == sympy.expand(big_a) and win_b == 2
+
+    # p >= 5: a pair is admissible at every p or at none.
+    others = []
+    for a, b in pairs:
+        if a == 0 or b == 0:
+            continue
+        assert at_least(a, 1, 5) and at_least(b, 1, 5)
+        others.append((a, b))
+    assert len(others) == 4
+    # The winner's randomized key is 2sp, larger than min(sn*a, sp*b) of
+    # every other pair; its quantum key 2A is larger than every a*b.
+    assert at_least(sn * win_a, 2 * sp, 5)
+    for a, b in others:
+        assert at_least(2 * sp, sn * a + 1, 5) or at_least(2 * sp, sp * b + 1, 5)
+        assert at_least(2 * win_a, a * b + 1, 5)
+
+    # p = 3 (sn = 2, sp = 7): the four types directly.
+    at3 = [(int(a.subs(p, 3)), int(b.subs(p, 3))) for a, b in pairs]
+    at3 = [(a, b) for a, b in at3 if a >= 1 and b >= 1]
+    assert len(at3) == 3  # type (2, 1) kind B has b = 0
+    win3 = (int(win_a.subs(p, 3)), int(win_b))
+    for key in (lambda a, b: min(2 * a, 7 * b), lambda a, b: a * b):
+        assert all(key(*win3) > key(a, b) for a, b in at3)
+
+    # The positives n = (1 + x, 1 + 1/x), x != 0, on the hyperplane of h
+    # are the nonzero roots of h1 x^2 + (h0 + h1 + h2) x + h2.  For the
+    # first four classes, and for (1,0,-1) of case_count_extremes, the
+    # polynomial is monic or constant and splits over the integers, with
+    # roots whose differences, and whose values, no odd prime divides.
+    def no_odd_factor(r):
+        return r != 0 and all(f in (-1, 2) for f in sympy.factorint(r))
+
+    expected = {(0, 0, 1): 1, (0, 1, 0): 1, (0, 1, 1): 1, (0, 1, 2): 2, (1, 0, -1): 0}
+    for h, count in expected.items():
+        h0, h1, h2 = h
+        poly = sympy.Poly(sympy.expand(x * (h0 + h1 * (1 + x) + h2 * (1 + 1 / x))), x)
+        assert poly == sympy.Poly(h1 * x**2 + (h0 + h1 + h2) * x + h2, x)
+        roots = sympy.roots(poly)
+        assert sum(roots.values()) == poly.degree() and all(r.is_integer for r in roots)
+        if poly.degree() > 0:
+            assert poly.LC() == 1
+        nonzero = [r for r in roots if r != 0]
+        assert all(no_odd_factor(r) for r in nonzero), h
+        assert all(no_odd_factor(r - t) for r in nonzero for t in nonzero if r != t), h
+        assert len(nonzero) == count, h
+        for prime in PRIMES_TO_61:
+            on = sum(identity_value(prime, n1, n2, h) for n1, n2 in positive_pairs(prime))
+            assert on == count, (h, prime)
+
+
 def test_adversary_closed_forms_below_250_and_at_1009():
     for p in [q for q in range(5, 250) if is_prime(q)] + [1009]:
         rep = adversary_bounds(p, force=True)
@@ -404,34 +480,28 @@ def test_adversary_closed_forms_below_250_and_at_1009():
         assert rep.witness_randomized.h == rep.witness_quantum.h == (0, 1, 2)
 
 
-def test_walk_streams_the_class_table_below_250():
-    # With no early exit, the walk yields exactly the table's admissible
-    # candidates in the table's order; every (kind, a, b) is one of the
-    # four class types, so no key exceeds its top; and the early-exit
-    # maximum is the first maximum of the full stream, for the two ratio
-    # keys of adversary_bounds and the two counts of case_count_extremes.
+def test_report_is_the_class_table_first_maximum_below_250():
+    # Each ratio is sp*sn over the first maximum of its key over the
+    # table's admissible rows, and that row holds the witness's h, a and
+    # b; the two counts' maxima are case_count_extremes.
     for p in PRIMES_BELOW_250:
-        stream = list(_admissible_pairs(p))
-        rows = np.array([(*h, kind, a, b) for h, kind, a, b in stream], dtype=np.int64)
-        assert np.array_equal(rows, _reference_pairs(p)), p
-        types = {pair for pairs in _type_pairs(p).values() for pair in pairs}
-        assert {cand[1:] for cand in stream} <= types, p
-        kind, a, b = rows[:, 3], rows[:, 4], rows[:, 5]
+        rep = adversary_bounds(p, force=True)
         sp, sn = p * p - p + 1, p - 1
-        for key, values in (
-            (lambda kind, a, b: min(sn * a, sp * b), np.minimum(sn * a, sp * b)),
-            (lambda kind, a, b: a * b, a * b),
-            (lambda kind, a, b: b * (1 - kind), b * (1 - kind)),
-            (lambda kind, a, b: a * kind, a * kind),
+        for ratio, wit, (key, (h, _, a, b)) in zip(
+            (rep.worst_ratio_randomized, rep.worst_ratio_quantum_squared),
+            (rep.witness_randomized, rep.witness_quantum),
+            _table_first_maxima(p),
         ):
-            assert values.max() <= _key_top(p, key), p
-            first = int(np.argmax(values))
-            assert _first_max(p, key) == (values[first], stream[first]), p
+            assert ratio == Fraction(sp * sn, key), p
+            assert (wit.h, wit.sigma_h_n, wit.sigma_h_n_prime) == (h, a, b), p
+        rows = _reference_pairs(p)
+        kind, a, b = rows[:, 3], rows[:, 4], rows[:, 5]
+        assert case_count_extremes(p) == (int((b * (1 - kind)).max()), int((a * kind).max())), p
 
 
 def test_adversary_closed_forms_at_61_bit_primes():
-    # The walk stops at the fourth class at any modulus, so the report at
-    # the largest supported primes takes well under a second.
+    # The report is a closed form, so at the largest supported primes it
+    # takes well under a second.
     for p in (2**61 - 1, 27 * 2**56 + 1):
         start = time.perf_counter()
         rep = adversary_bounds(p, force=True)
@@ -450,8 +520,8 @@ def test_case_count_extremes_closed_form_at_61_bit_primes():
 
 
 def test_adversary_memory_is_quadratic():
-    # The p^3 count arrays took 162 MB at p = 101; the walk over the
-    # query classes holds no array at all.
+    # The p^3 count arrays took 162 MB at p = 101; the closed form holds
+    # no array at all.
     tracemalloc.start()
     try:
         adversary_bounds(101, force=True)

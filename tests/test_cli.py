@@ -67,6 +67,15 @@ def test_embed_subcommand(capsys):
     assert main(["embed", "--p", "11", "--q", "23", "--seed", "5"]) == 0
 
 
+@pytest.mark.parametrize("given", [["--a", "1"], ["--b", "2"], ["--a", "1", "--c", "5"]])
+def test_embed_refuses_a_partial_exponent_set(given, capsys):
+    # A partial set would be dropped and all three exponents drawn.
+    assert main(["embed", "--p", "11", "--q", "23", "--seed", "0", *given]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--a, --b and --c" in captured.err
+
+
 def test_adversary_subcommand(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["adversary", "--p", "5", "--out", str(out)]) == 0

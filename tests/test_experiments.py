@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dhbox.adversary import adversary_bounds, case_count_extremes, classify, positive_pairs
 from dhbox.algorithms import dh_polynomial, DHInstance, honest_cdh_oracle, honest_dlog_oracle
 from dhbox.blackbox import Escrow, GroupElement, IdentityOracle
 from dhbox.experiments import (
@@ -12,12 +13,15 @@ from dhbox.experiments import (
     format_value,
     max_line_solution_count,
     rows_to_csv,
+    run_embedding,
     run_level2_solution_counts,
+    run_lift_agreement,
     run_reduction_success,
     run_scaling,
     trial_rng,
     wilson_interval,
 )
+from dhbox.grover_sim import quantum_query_curve
 from dhbox.modmath import PrimeModulus, _roots_int, is_prime
 
 ESCROW = Escrow()
@@ -299,6 +303,38 @@ def test_empty_runs_refused():
             run_level2_solution_counts(11, trials, seed=0)
     with pytest.raises(ValueError, match="at least one prime"):
         run_scaling([], 10, seed=0)
+
+
+def _embedding_summary(p):
+    gens, answer, direct, oracle = run_embedding(p, 23, 2, 3, 6)
+    return gens, answer, direct, oracle.queries, oracle.mults
+
+
+@pytest.mark.parametrize(
+    "entry, p",
+    [
+        (case_count_extremes, 2**61 - 1),
+        (adversary_bounds, 31),
+        (classify, 5),
+        (positive_pairs, 31),
+        (lambda p: run_level2_solution_counts(p, 200, 1), 31),
+        (_embedding_summary, 11),
+        (lambda p: run_scaling([p], 20, 1), 31),
+        (lambda p: run_reduction_success(p, 20, 1), 31),
+        (lambda p: run_lift_agreement(p, 5, 1), 31),
+        (lambda p: quantum_query_curve([p]), 31),
+    ],
+    ids=["case_count_extremes", "adversary_bounds", "classify", "positive_pairs",
+         "level2_counts", "embedding", "scaling", "reductions", "lift_agreement",
+         "quantum_query_curve"],
+)
+def test_numpy_integer_prime_gives_the_int_result(entry, p):
+    # The repr compares values and types: no numpy scalar reaches a result.
+    # A numpy prime used to give case_count_extremes a 0, raise TypeError
+    # in four entry points, and put np.int64, np.float64 and np.bool_
+    # fields into the classification and the scaling, reduction and
+    # curve rows.
+    assert repr(entry(np.int64(p))) == repr(entry(p))
 
 
 def test_repeated_prime_refused():
