@@ -30,8 +30,10 @@ entry points ask and charge the same queries.  The one view,
 :class:`OracleView`, keeps no counter: it maps coordinates, or a scan's
 base and step, and charges through the oracle it wraps.
 :func:`normalize_oracle` and ``algorithms.lift_oracle`` build it.
-:class:`GroverOracle` asks a level-1 identity oracle, so point-search
-queries use the same counter too.
+A point question x is the single query (x, -1), asked by
+:func:`grover_from_identity` through ``query_coords``: :class:`GroverOracle`
+and the Grover simulator's charge for each phase-oracle application both
+ask it, so point-search queries use the same counter too.
 
 Everything that would let algorithm code peek at the hidden normal vector
 is gated behind an explicit :class:`Escrow` capability.  Reference maps
@@ -610,8 +612,16 @@ def first_on_line(oracle, candidates: Iterable[int]) -> Optional[int]:
 
 
 def grover_from_identity(oracle, x: int) -> int:
-    """Point-search answer for x through one level-1 identity query."""
-    return 0 if first_on_line(oracle, (x,)) is None else 1
+    """Point-search answer for x through one level-1 identity query.
+
+    The one rule for a point question: (x, -1) lies on the hidden line
+    exactly when x is the secret, so x costs the single query (x, -1),
+    asked through ``query_coords`` on any oracle, proxy or view.  Like
+    every query, a float x is charged and then refused.
+    """
+    if oracle.level != 1:
+        raise ValueError(f"level-1 oracle required, got level {oracle.level}")
+    return 1 if oracle.query_coords((x, -1)) == 1 else 0
 
 
 def identity_from_grover(grover: GroverOracle, h: GroupElement) -> int:

@@ -10,10 +10,11 @@ The phase flip needs the secret's position, which is taken once through
 escrow at construction; simulating the oracle's action on every basis
 state individually would otherwise charge p classical queries per
 iteration and say nothing about quantum cost.  Each application is
-instead charged as one identity query (s, -1), which must answer 1, so
-the oracle's counter and budget see the quantum queries too.  Norm drift
-is asserted, never corrected: a drifting norm means the simulation is
-wrong.
+instead charged as one identity query (s, -1), which must answer 1,
+asked through ``blackbox.grover_from_identity``, the one point-question
+rule, so the oracle's counter and budget see the quantum queries too.
+Norm drift is asserted, never corrected: a drifting norm means the
+simulation is wrong.
 
 Amplitudes are held as ``float64``.  The uniform start is real, and
 both the phase flip (a sign change) and the inversion about the mean
@@ -34,8 +35,13 @@ items in 8 interleaved lanes combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
 followed by the n mod 8 tail in order, and more items as the sum over
 the first n2 = n//2 - (n//2 mod 8) plus the sum over the rest.  Every
 subtree of that split without the target sums u alone, so its sum
-depends on its size only, and ``_two_valued_sum`` rebuilds numpy's sum
-in O(log n) float additions from a size tree built once per run.
+depends on its size only.  ``_pairwise_plan`` folds the split into a
+flat plan once per (n, target): the lanes to build, one op per
+target-free size in increasing order, the target's leaf block and the
+siblings on its way to the root.  ``_two_valued_sum`` evaluates the plan
+over one list of slots in O(log n) float operations; a target-free block
+of 8 equal lanes is one exact multiplication by 8.0, as the three
+doublings of its lane combination are.
 
 Measurement needs no vector either.  ``Generator.choice`` with weights
 draws one uniform double x and returns the first index whose partial
@@ -63,7 +69,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .algorithms import DishonestOracleError
-from .blackbox import Escrow, first_on_line
+from .blackbox import Escrow, grover_from_identity
 
 MAX_STATES = 1 << 22
 _NORM_TOL = 1e-9
@@ -116,13 +122,30 @@ def _pairwise_split(n: int) -> tuple:
 
 @functools.lru_cache(maxsize=16)
 def _pairwise_plan(n: int, j: int) -> tuple:
-    """numpy's pairwise size tree for n items, seen from item j.
+    """numpy's pairwise sum of n items, item j apart, as a flat plan.
 
-    Returns the leaf block holding item j as (size, index in it), the
-    sizes of the target-free siblings on the way from that block up to
-    the root, and every target-free subtree size in increasing order with
-    its split (``None`` for a block), so each is summed after its parts.
-    The tree depends on n and j alone, so a run builds it once.
+    A sum evaluates the plan over one list of slots: first the lanes,
+    slot q holding the in-order sum of q copies of u (slot 0 is -0.0,
+    which adds exactly nothing), then one slot per target-free subtree
+    size in increasing order.  The plan holds, in this order:
+
+    - the number of lanes to build;
+    - one op per target-free block of m <= 128 items, (m // 8, m % 8):
+      its 8 equal lanes combine to lane * 8.0, exact as the three
+      doublings ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) it replaces, then
+      its m mod 8 tail items are added in order.  A target-free subtree
+      is half of a split, at least 64 items, so it is never a block
+      below 8 items;
+    - one op per larger target-free size, its two parts' slots;
+    - the target's leaf block of m items, j its index there, as
+      (m // 8, prefix, mid, end): with j in a lane, prefix = j // 8 is
+      the slot of the u's before t in that lane, mid counts the u's
+      after t in it and end the block's m mod 8 tail; with j in the
+      tail (or m < 8), prefix is None, and mid and end count the u's
+      before and after t;
+    - the slots of the target-free siblings, from the leaf up to the root.
+
+    The tree depends on n and j alone, so a run builds its plan once.
     """
     siblings = []
     while n > _PW_BLOCKSIZE:
@@ -140,55 +163,60 @@ def _pairwise_plan(n: int, j: int) -> tuple:
             sizes.add(m)
             if m > _PW_BLOCKSIZE:
                 stack.extend(_pairwise_split(m))
-    pure = tuple((m, _pairwise_split(m) if m > _PW_BLOCKSIZE else None) for m in sorted(sizes))
-    return (n, j), tuple(reversed(siblings)), pure
-
-
-def _block_sum(m: int, i: int, u: float, t: float, lanes: list) -> float:
-    """numpy's sum of a block of m <= 128 items, all u except item i = t
-    (i = -1 for none): from 0.0 in order below 8 items, else 8 interleaved
-    lanes combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
-    m mod 8 tail in order.  ``lanes[q]`` is the in-order sum of q copies
-    of u, so lanes without t combine by doubling."""
-    if m < 8:
-        s = 0.0
-        for k in range(m):
-            s += t if k == i else u
-        return s
-    q = m // 8
-    s = lanes[q]
-    if 0 <= i < 8 * q:
-        pos = i // 8
-        x = t if pos == 0 else u
-        for k in range(1, q):
-            x += t if k == pos else u
-        r = [s] * 8
-        r[i % 8] = x
-        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    q = n // 8
+    n_lanes = max([q] + [m // 8 for m in sizes if m <= _PW_BLOCKSIZE]) + 1
+    slot, blocks, splits = {}, [], []
+    # Every block size sorts below every split size, so blocks take the
+    # first slots after the lanes.
+    for m in sorted(sizes):
+        slot[m] = n_lanes + len(slot)
+        if m <= _PW_BLOCKSIZE:
+            blocks.append((m // 8, m % 8))
+        else:
+            splits.append(tuple(slot[half] for half in _pairwise_split(m)))
+    if j < 8 * q:
+        leaf = (q, j // 8, q - j // 8 - 1, n % 8)
     else:
-        s += s
-        s += s
-        s += s
-    for k in range(8 * q, m):
-        s += t if k == i else u
-    return s
+        leaf = (q, None, j - 8 * q, n - j - 1)
+    return n_lanes, tuple(blocks), tuple(splits), leaf, tuple(slot[m] for m in reversed(siblings))
 
 
 def _two_valued_sum(n: int, j: int, u: float, t: float) -> float:
     """``np.add.reduce`` of the n-vector that is u everywhere but t at j,
-    bit for bit, in O(log n) float additions: every subtree of numpy's
+    bit for bit, in O(log n) float operations: every subtree of numpy's
     pairwise sum without item j sums u alone, so its sum depends on its
-    size only."""
-    (m, i), siblings, pure = _pairwise_plan(n, j)
-    lanes = [0.0, u]
-    for _ in range(min(n, _PW_BLOCKSIZE) // 8 - 1):
-        lanes.append(lanes[-1] + u)
-    sums = {}
-    for size, split in pure:
-        sums[size] = _block_sum(size, -1, u, t, lanes) if split is None else sums[split[0]] + sums[split[1]]
-    s = _block_sum(m, i, u, t, lanes)
-    for size in siblings:
-        s += sums[size]
+    size only, and ``_pairwise_plan`` lists those sizes once per (n, j).
+
+    Seven of the leaf block's lanes are equal, and float addition
+    commutes, so its lane combination is ((x + l) + 2l) + 4l for the
+    target's lane x and the others' l; doubling is exact.
+    """
+    n_lanes, blocks, splits, leaf, siblings = _pairwise_plan(n, j)
+    slots = list(itertools.accumulate(itertools.repeat(u, n_lanes - 1), initial=-0.0))
+    for q, r in blocks:
+        s = slots[q] * 8.0
+        for _ in range(r):
+            s += u
+        slots.append(s)
+    for a, b in splits:
+        slots.append(slots[a] + slots[b])
+    q, prefix, mid, end = leaf
+    lane = slots[q]
+    if prefix is None:
+        # numpy sums a block below 8 items in order from 0.0.
+        s = lane * 8.0 if q else 0.0
+        for _ in range(mid):
+            s += u
+        s += t
+    else:
+        s = slots[prefix] + t
+        for _ in range(mid):
+            s += u
+        s = s + lane + lane * 2.0 + lane * 4.0
+    for _ in range(end):
+        s += u
+    for k in siblings:
+        s += slots[k]
     return s
 
 
@@ -362,10 +390,10 @@ def grover_search(oracle, iterations: Optional[int] = None, rng=None) -> GroverR
     _check_states(p, target)
     k = optimal_iterations(p) if iterations is None else _iteration_count(iterations)
     # Charge the k phase-oracle applications before the state evolves,
-    # so a budget below k runs no step.  Each asks about the escrowed
-    # target, which must lie on the oracle's hidden line.
+    # so a budget below k runs no step.  Each is the point question at
+    # the escrowed target, which the oracle must accept.
     for _ in range(k):
-        if first_on_line(oracle, (target,)) is None:
+        if not grover_from_identity(oracle, target):
             raise DishonestOracleError(f"oracle rejects its escrowed secret {target}")
     t, u = next(itertools.islice(_walk(p, target), k, None))
     if rng is None:
@@ -400,10 +428,17 @@ def quantum_query_curve(ps: Sequence[int]) -> List[CurvePoint]:
     satisfies k <= ceil(pi/4 * sqrt(p)); exceeding that bound would mean
     the simulator is broken and raises.  Each p is read through
     ``operator.index``, so a numpy integer gives the int's points.
+    Every p is checked before the first step: one above the state guard
+    is refused, and so is p < 3, since with 2 states the success
+    sin^2((2k+1) * pi/4) is 1/2 at every k and never reaches 2/3.
     """
-    points = []
-    for p in map(operator.index, ps):
+    ps = list(map(operator.index, ps))
+    for p in ps:
         _check_states(p, 0)
+        if p < 3:
+            raise ValueError(f"{p} states never reach success 2/3: it is 1/2 at every k")
+    points = []
+    for p in ps:
         bound = math.ceil(math.pi / 4 * math.sqrt(p))
         for k, (t, _) in enumerate(_walk(p, 0)):
             if t * t >= 2 / 3:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from dhbox.algorithms import DishonestOracleError
-from dhbox.blackbox import IdentityOracle, NormalVector, QueryBudgetExceeded
+from dhbox import grover_sim
+from dhbox.blackbox import (
+    IdentityOracle,
+    NormalVector,
+    QueryBudgetExceeded,
+    RawOracle,
+    normalize_oracle,
+)
 from dhbox.grover_sim import (
     MAX_STATES,
     GroverRun,
@@ -171,11 +178,85 @@ def test_guards():
         simulate_search(1, 0, 1)
     with pytest.raises(ValueError):
         quantum_query_curve([MAX_STATES + 1])
+    with pytest.raises(ValueError, match="2/3"):
+        quantum_query_curve([2])  # success is 1/2 at every k
     pm = PrimeModulus(7)
     from dhbox.blackbox import random_identity_oracle
 
     with pytest.raises(ValueError):
         grover_search(random_identity_oracle(pm, 2, np.random.default_rng(0)))
+
+
+def _count_steps(monkeypatch):
+    """Count the two-valued steps taken from here on."""
+    steps = []
+    step = grover_sim._two_valued_step
+
+    def counting_step(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(grover_sim, "_two_valued_step", counting_step)
+    return steps
+
+
+def test_curve_refuses_two_states_before_any_step(monkeypatch):
+    steps = _count_steps(monkeypatch)
+    for ps in ([2], [3, 2], [101, 2, 11]):
+        with pytest.raises(ValueError, match="2/3"):
+            quantum_query_curve(ps)
+    assert steps == []
+
+
+class _MinimalProxy:
+    """An oracle that is no ``OracleBase``: four names, passed through."""
+
+    def __init__(self, inner):
+        self.modulus = inner.modulus
+        self.level = inner.level
+        self.query_coords = inner.query_coords
+        self.reveal_hidden = inner.reveal_hidden
+
+
+def _view_of_raw(normal, room):
+    """A normalized view of a raw level-1 oracle at p = 101, and the leaf
+    behind it, whose budget leaves ``room`` queries after normalizing."""
+    # Normalizing a level-1 oracle asks the one unit vector e_0.
+    raw = RawOracle(normal, PrimeModulus(101), budget=None if room is None else room + 1)
+    _, view = normalize_oracle(raw)
+    assert raw.queries == 1
+    return view, raw
+
+
+def _proxy_of_identity(secret, room):
+    leaf = IdentityOracle.level1(PrimeModulus(101), secret, budget=room)
+    return _MinimalProxy(leaf), leaf
+
+
+@pytest.mark.parametrize("secret, build", [
+    # a leading coordinate 3, scaled away by the view, and a leading 0,
+    # which the view swaps to the back (the secret is then 0)
+    (42, lambda room: _view_of_raw((3, 3 * 42), room)),
+    (0, lambda room: _view_of_raw((0, 5), room)),
+    (42, lambda room: _proxy_of_identity(42, room)),
+])
+def test_search_through_a_view_or_a_proxy(secret, build, monkeypatch):
+    k = optimal_iterations(101)
+    ref = grover_search(IdentityOracle.level1(PrimeModulus(101), secret), rng=np.random.default_rng(5))
+    oracle, leaf = build(None)
+    before = leaf.queries
+    assert grover_search(oracle, rng=np.random.default_rng(5)) == ref
+    assert ref.target == secret and ref.oracle_queries == k
+    assert leaf.queries - before == k
+    # A leaf with room for k - 1 charges is refused at the k-th, and no
+    # step of the state is taken.
+    oracle, leaf = build(k - 1)
+    before = leaf.queries
+    steps = _count_steps(monkeypatch)
+    with pytest.raises(QueryBudgetExceeded):
+        grover_search(oracle, rng=np.random.default_rng(5))
+    assert leaf.queries - before == k - 1
+    assert steps == []
 
 
 def test_negative_iterations_refused_uncharged():
