@@ -14,14 +14,23 @@ subgroup through its embedding.
 
 Every random draw is derived from (seed, labels, trial index) through a
 SeedSequence, so aggregates are independent of execution order and two
-runs with the same configuration are byte-identical.
+runs with the same configuration are byte-identical.  ``trial_rng`` is
+that stream.  The level-2 study builds no Generator per trial:
+``_trial_integers`` hashes the SeedSequences of a batch of trials as
+uint32 columns, seeds numpy's PCG64 from each through its ``state``
+setter and applies numpy's bounded-integer rule to the whole batch, so
+it draws the integers ``trial_rng`` draws, bit for bit.  A row where
+that rule could reject a draw, and every row when p ≥ 2^32, is drawn by
+``trial_rng`` itself, and a batched call first checks trial 0 against
+numpy's own seeding.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,22 +56,167 @@ from .modmath import PrimeModulus, Residue, _inv_int, _sqrt_int
 
 
 def trial_rng(seed: int, *labels: int) -> np.random.Generator:
-    """Independent stream for one trial, derived from (seed, labels)."""
+    """Independent stream for one trial, derived from (seed, labels).
+
+    This is the reference stream of every study.  The level-2 study
+    draws the same integers through ``_trial_integers``, which hashes
+    a batch of trial seeds at once and falls back to this function for
+    the rows it cannot reproduce exactly.
+    """
     return np.random.default_rng(np.random.SeedSequence([seed, *labels]))
 
 
-def check_trials(trials: int) -> None:
-    """Refuse a trial count below 1: an empty run has no rate to report."""
+# numpy's SeedSequence constants (pool of 4 uint32 words), the PCG64
+# multiplier, and the number of trials _trial_integers draws per batch.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+_CHUNK = 1024
+
+
+def _hashmixer(const: int, mult: int):
+    """numpy's SeedSequence ``hashmix``, whose hash constant runs through
+    const·mult^i mod 2^32.  ``hashmix(value, rows)`` takes the next
+    ``rows`` constants, one per row of the (rows, n) result; a 1-D value
+    is hashed once per row."""
+
+    def hashmix(value: np.ndarray, rows: int) -> np.ndarray:
+        nonlocal const
+        consts = [const]
+        for _ in range(rows):
+            consts.append(consts[-1] * mult & _M32)
+        const = consts[-1]
+        column = np.array(consts, dtype=np.uint32)[:, None]
+        value = (value ^ column[:-1]) * column[1:]
+        return value ^ (value >> 16)
+
+    return hashmix
+
+
+def _state_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for every column e
+    of ``entropy``, a uint32 array with one row per entropy word, as a
+    (4, columns) uint64 array.  The hash constants do not depend on the
+    data, so each step of numpy's pool mixing is a few array operations
+    over all columns, and one source word is hashed for its three
+    destinations at once."""
+
+    def mix(x, y):
+        result = x * _MIX_L - y * _MIX_R
+        return result ^ (result >> 16)
+
+    hashmix = _hashmixer(_INIT_A, _MULT_A)
+    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
+    pool[:len(entropy)] = entropy[:_POOL]
+    pool = hashmix(pool, _POOL)
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
+    for word in entropy[_POOL:]:
+        pool = mix(pool, hashmix(word, _POOL))
+    state = _hashmixer(_INIT_B, _MULT_B)(pool[[0, 1, 2, 3] * 2], 2 * _POOL).astype(np.uint64)
+    # Little-endian pairs: the low word first.
+    return state[0::2] | state[1::2] << 32
+
+
+def _pcg_seed(s_hi: int, s_lo: int, q_hi: int, q_lo: int) -> dict:
+    """The PCG64 state that numpy seeds from the state words (s_hi, s_lo,
+    q_hi, q_lo): inc = 2·seq + 1, then from state 0 one step, add the
+    initial state, one step."""
+    inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
+    return {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128, "inc": inc}
+
+
+def _trial_integers(seed: int, trials: int, p: int, size: int) -> Iterator[List[int]]:
+    """The rows ``trial_rng(seed, t).integers(0, p, size=size).tolist()``
+    for t in range(trials), in order, drawn in batches of ``_CHUNK``.
+
+    A batch hashes the entropy words of every trial, the seed's uint32
+    words followed by t, through SeedSequence's pool mixing as uint32
+    columns.  Each trial's four state words seed numpy's own PCG64 the
+    way ``PCG64(seed_seq)`` does (state 0, inc = 2·seq + 1, one step,
+    add the initial state, one step), set through its ``state`` setter,
+    and ``random_raw`` gives the ceil(size / 2) words that ``integers``
+    reads, low half first.  numpy's 32-bit Lemire rule maps each half x
+    to x·p >> 32.  A row with a leftover x·p mod 2^32 below p, where
+    that rule may reject and draw again, is drawn by ``trial_rng``
+    itself, and so is every trial when p < 2 or p ≥ 2^32, when t ≥ 2^32
+    or when the seed is no integer.
+
+    The seed is refused as ``trial_rng`` refuses it, with the same
+    exception, before any draw.  A batched call checks trial 0's state
+    words and PCG64 state against numpy's own before its first row, so a
+    numpy that seeds differently raises ``RuntimeError`` instead of
+    drawing other rows.
+    """
+    reference = np.random.SeedSequence([seed, 0])
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        words = None
+    else:
+        words = [value & _M32]
+        while value > _M32:
+            value >>= 32
+            words.append(value & _M32)
+    fast = words is not None and 1 < p <= _M32 and trials <= 1 << 32
+    return _trial_rows(seed, words if fast else None, trials, p, size, reference)
+
+
+def _trial_rows(seed, words, trials, p, size, reference) -> Iterator[List[int]]:
+    """The rows of ``_trial_integers``, batched from the seed's uint32
+    ``words``, or all from ``trial_rng`` when ``words`` is None."""
+    bits = np.random.PCG64(reference)
+    half = (size + 1) // 2
+    for start in range(0, trials, _CHUNK):
+        ts = range(start, min(start + _CHUNK, trials))
+        if words is None:
+            yield from (trial_rng(seed, t).integers(0, p, size=size).tolist() for t in ts)
+            continue
+        entropy = np.empty((len(words) + 1, len(ts)), dtype=np.uint32)
+        entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+        entropy[-1] = ts
+        state_words = _state_words(entropy)
+        if start == 0:
+            trial0 = state_words[:, 0].tolist()
+            if (trial0 != reference.generate_state(4, np.uint64).tolist()
+                    or bits.state["state"] != _pcg_seed(*trial0)):
+                raise RuntimeError("numpy's SeedSequence or PCG64 seeding has changed; "
+                                   "the batched level-2 draws would differ from trial_rng")
+        raw = np.empty((len(ts), half), dtype=np.uint64)
+        for i, words4 in enumerate(zip(*state_words.tolist())):
+            bits.state = {"bit_generator": "PCG64", "state": _pcg_seed(*words4),
+                          "has_uint32": 0, "uinteger": 0}
+            raw[i] = bits.random_raw(half)
+        halves = np.empty((len(ts), 2 * half), dtype=np.uint64)
+        halves[:, 0::2] = raw & _M32
+        halves[:, 1::2] = raw >> 32
+        m = halves[:, :size] * p
+        rows = (m >> 32).tolist()
+        for i in np.flatnonzero(((m & _M32) < p).any(axis=1)).tolist():
+            rows[i] = trial_rng(seed, start + i).integers(0, p, size=size).tolist()
+        yield from rows
+
+
+def check_trials(trials: int) -> int:
+    """Read a trial count as an ``int`` and return it, refusing one below
+    1: an empty run has no rate to report."""
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    return trials
 
 
 def wilson_interval(successes: int, trials: int, z: float = 3.0) -> Tuple[float, float]:
     """Wilson score interval for a binomial proportion at z sigmas.
 
-    Fewer than 1 trial is refused by ``check_trials``.
+    ``check_trials`` reads the trial count: a count below 1, or one that
+    is no integer, is refused.
     """
-    check_trials(trials)
+    trials = check_trials(trials)
     phat = successes / trials
     z2 = z * z
     denom = 1 + z2 / trials
@@ -98,7 +252,7 @@ def run_scaling(ps: Sequence[int], trials: int, seed: int) -> List[ScalingRow]:
         raise ValueError("ps must name at least one prime")
     if len(set(ps)) != len(ps):
         raise ValueError(f"ps must not repeat a prime, got {list(ps)}")
-    check_trials(trials)
+    trials = check_trials(trials)
     rows = []
     for p in ps:
         modulus = PrimeModulus(p)
@@ -195,7 +349,7 @@ def run_reduction_success(p: int, trials: int, seed: int) -> List[ReductionRow]:
     """
     modulus = PrimeModulus(p)
     p = modulus.p
-    check_trials(trials)
+    trials = check_trials(trials)
     rows = []
     for tag, name, bound in ((1, "dlog-random", (p - 1) / p), (2, "cdh-random", (p - 2) / p)):
         successes = 0
@@ -240,7 +394,7 @@ def run_lift_agreement(p: int, trials: int, seed: int) -> int:
     instance when lifting preserves DDH answers.
     """
     modulus = PrimeModulus(p)
-    check_trials(trials)
+    trials = check_trials(trials)
     agree = 0
     for t in range(trials):
         rng = trial_rng(seed, 300, t)
@@ -455,22 +609,18 @@ class Level2Result:
 def run_level2_solution_counts(p: int, trials: int, seed: int, force: bool = False) -> Level2Result:
     """Fraction of random level-2 quadruples with a line of > 2 solutions.
 
-    Instances are drawn uniformly; each is checked against every line by
-    ``first_component_line`` in O(1).  The fraction is compared with
-    min(1, 7/p) plus three binomial sigmas.  The guard refuses p > 31
-    unless ``force`` is set.
+    Trial t draws its instance, 12 coordinates in [0, p), from
+    ``trial_rng(seed, t)``, read in batches by ``_trial_integers``; each
+    is checked against every line by ``first_component_line`` in O(1).
+    The fraction is compared with min(1, 7/p) plus three binomial
+    sigmas.  The guard refuses p > 31 unless ``force`` is set.
     """
     p = check_enumeration_guard(p, force)
-    check_trials(trials)
+    trials = check_trials(trials)
     bad = 0
     bad_samples: List[SolutionCountSample] = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        c = rng.integers(0, p, size=12)
-        g = (int(c[0]), int(c[1]), int(c[2]))
-        h = (int(c[3]), int(c[4]), int(c[5]))
-        k = (int(c[6]), int(c[7]), int(c[8]))
-        l = (int(c[9]), int(c[10]), int(c[11]))
+    for c in _trial_integers(seed, trials, p, 12):
+        g, h, k, l = tuple(c[0:3]), tuple(c[3:6]), tuple(c[6:9]), tuple(c[9:12])
         line = first_component_line(p, g, h, k, l)
         if line is not None:
             bad += 1

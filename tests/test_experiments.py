@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -8,7 +9,11 @@ import pytest
 from dhbox.adversary import adversary_bounds, case_count_extremes, classify, positive_pairs
 from dhbox.algorithms import dh_polynomial, DHInstance, honest_cdh_oracle, honest_dlog_oracle
 from dhbox.blackbox import Escrow, GroupElement, IdentityOracle
+from dhbox import experiments
+from dhbox.cli import main
 from dhbox.experiments import (
+    _CHUNK,
+    _trial_integers,
     first_component_line,
     format_value,
     max_line_solution_count,
@@ -370,3 +375,132 @@ def test_trial_rng_streams_are_stable():
     c = trial_rng(7, 1, 3).integers(0, 1000, size=5)
     assert (a == b).all()
     assert not (a == c).all()
+
+
+def _reference_rows(seed, trials, p, size):
+    return [trial_rng(seed, t).integers(0, p, size=size).tolist() for t in range(trials)]
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**100 + 9, 2**140 + 1, np.int64(2**40 + 3)]
+PRIMES = [3, 5, 31, 61, 1009, 2**31 - 1, 4294967291]
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=repr)
+@pytest.mark.parametrize("p", PRIMES)
+def test_trial_integers_are_the_trial_rng_draws(seed, p):
+    # 2**100 + 9 has 5 uint32 words, so with t the entropy runs past the
+    # SeedSequence pool of 4.
+    assert list(_trial_integers(seed, 40, p, 12)) == _reference_rows(seed, 40, p, 12)
+
+
+def test_trial_integers_odd_size_and_one_past_a_chunk():
+    for size in (1, 7):
+        assert list(_trial_integers(5, 30, 61, size)) == _reference_rows(5, 30, 61, size)
+    trials = _CHUNK + 1
+    assert list(_trial_integers(3, trials, 31, 12)) == _reference_rows(3, trials, 31, 12)
+
+
+def test_small_chunks_keep_each_trial_index(monkeypatch):
+    # Batches of 3: rows of later batches, the trial_rng ones included,
+    # keep their own t.
+    monkeypatch.setattr(experiments, "_CHUNK", 3)
+    for p in (31, 4294967291, 2**61 - 1):
+        assert list(_trial_integers(2, 10, p, 5)) == _reference_rows(2, 10, p, 5)
+
+
+def test_rejection_zone_rows_are_drawn_by_trial_rng(monkeypatch):
+    # numpy's 32-bit rule may redraw when a leftover x·p mod 2^32 falls
+    # below p; such rows, and every row for p >= 2^32, come from
+    # trial_rng itself.  At p = 4294967291 that is nearly every row, at
+    # p = 31 almost none.
+    calls = []
+
+    def counted(seed, *labels):
+        calls.append(labels)
+        return trial_rng(seed, *labels)
+
+    monkeypatch.setattr(experiments, "trial_rng", counted)
+    for p, most in ((4294967291, True), (31, False), (2**61 - 1, True), (2**32 + 15, True)):
+        calls.clear()
+        assert list(_trial_integers(8, 50, p, 12)) == _reference_rows(8, 50, p, 12)
+        assert (len(calls) > 40) == most, (p, len(calls))
+
+
+def _reference_level2(p, trials, seed):
+    # The per-trial reference: one Generator per trial.
+    bad = []
+    for t in range(trials):
+        c = trial_rng(seed, t).integers(0, p, size=12)
+        inst = tuple(tuple(int(x) for x in c[i:i + 3]) for i in (0, 3, 6, 9))
+        line = first_component_line(p, *inst)
+        if line is not None:
+            bad.append((inst, line))
+    return bad
+
+
+@pytest.mark.parametrize("p, trials, force", [(7, 300, False), (31, 200, False),
+                                               (61, 50, True), (2**61 - 1, 30, True)])
+def test_level2_run_decides_the_trial_rng_instances(p, trials, force):
+    # p = 2^61 - 1 is past 2^32, so every trial takes the trial_rng path.
+    res = run_level2_solution_counts(p, trials, 11, force=force)
+    got = [(s.instance, s.worst_line) for s in res.bad_samples]
+    assert got == _reference_level2(p, trials, 11)
+    assert all(type(x) is int for s in res.bad_samples for e in s.instance for x in e)
+
+
+def test_trial_integers_check_numpy_seeding(monkeypatch):
+    # A numpy that hashed or seeded otherwise would draw other rows; the
+    # check on trial 0 refuses before the first row.
+    for name, value in (("_INIT_B", 0x8B51F9DC), ("_PCG_MULT", 0x2360ED051FC65DA44385DF649FCCF647)):
+        with monkeypatch.context() as m:
+            m.setattr(experiments, name, value)
+            with pytest.raises(RuntimeError, match="seeding has changed"):
+                next(_trial_integers(1, 5, 31, 12))
+
+
+def _refusal(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0)], ids=repr)
+def test_bad_seed_refused_as_trial_rng_refuses_it(seed, monkeypatch):
+    expected = _refusal(lambda: trial_rng(seed, 0))
+    assert expected[0] in (ValueError, TypeError)
+    assert _refusal(lambda: _trial_integers(seed, 5, 31, 12)) == expected
+
+    def no_draw(*args):
+        raise AssertionError("drew an instance")
+
+    monkeypatch.setattr(experiments, "_trial_rows", no_draw)
+    monkeypatch.setattr(experiments, "first_component_line", no_draw)
+    assert _refusal(lambda: run_level2_solution_counts(31, 5, seed)) == expected
+
+
+def test_cli_refuses_a_negative_seed_before_any_draw(capsys, monkeypatch):
+    _, message = _refusal(lambda: trial_rng(-1, 0))
+
+    def no_draw(*args):
+        raise AssertionError("drew an instance")
+
+    monkeypatch.setattr(experiments, "_trial_rows", no_draw)
+    assert main(["level2-counts", "--p", "7", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_trial_counts_are_read_as_ints():
+    # A float count used to give an interval for 2.5 trials, and a numpy
+    # count stayed an np.int64 in the result, which json.dumps refuses.
+    with pytest.raises(TypeError):
+        wilson_interval(2, 2.5)
+    with pytest.raises(TypeError):
+        run_level2_solution_counts(7, 3.0, 1)
+    assert wilson_interval(2, np.int64(5)) == wilson_interval(2, 5)
+    res = run_level2_solution_counts(7, np.int64(3), 1)
+    assert type(res.trials) is int
+    assert json.loads(json.dumps(res.to_dict())) == run_level2_solution_counts(7, 3, 1).to_dict()
+    rows = [*run_scaling([7], np.int64(3), 1), *run_reduction_success(7, np.int64(3), 1)]
+    assert all(type(row.trials) is int for row in rows)
+    json.dumps([row.to_dict() for row in rows])
