@@ -13,7 +13,8 @@ and ``algorithms``, which need no numpy.  The study names, from
 the first access to one of them, or to its module, imports that module
 and binds the name here (PEP 562), so numpy loads with the first
 ``experiments`` or ``grover_sim`` name and never with a scan;
-``adversary`` walks its query classes in plain integers and needs none.
+``adversary`` computes its report in closed form, in plain integers, and
+needs none.
 """
 
 from importlib import import_module

@@ -26,6 +26,7 @@ from .blackbox import (
     canonical_element,
     coset_label,
     first_on_line,
+    grover_from_identity,
     scan_line,
 )
 from .modmath import PrimeModulus, Residue, _inv_int, _require_same_modulus, _roots_int, is_prime
@@ -190,8 +191,9 @@ def ddh_decide_level1(oracle, inst: DHInstance, check_generator: bool = True) ->
 
     Builds the quadruple polynomial in the secret.  A constant polynomial
     decides immediately with zero queries; otherwise its at most two roots
-    are candidate secrets and each costs one identity query, so the
-    decision spends at most two counted queries.
+    are candidate secrets, asked in increasing order as point questions
+    (:func:`grover_from_identity`, one identity query each) up to the
+    first accepted one, so the decision spends at most two counted queries.
 
     ``check_generator`` spends one extra (separately understood) query to
     validate the promise that g generates the group; disable it when the
@@ -207,7 +209,7 @@ def ddh_decide_level1(oracle, inst: DHInstance, check_generator: bool = True) ->
     a2, a1, a0 = dh_polynomial(inst)
     if a2 == 0 and a1 == 0:
         return 1 if a0 == 0 else 0
-    return 0 if first_on_line(oracle, _roots_int(a2, a1, a0, inst.modulus.p)) is None else 1
+    return int(any(grover_from_identity(oracle, r) for r in _roots_int(a2, a1, a0, inst.modulus.p)))
 
 
 def _dlog_rule(dlog: DlogOracle, g: GroupElement, h: GroupElement) -> Optional[Residue]:
@@ -271,9 +273,11 @@ def _cdh_rule(cdh: CdhOracle, oracle, g: GroupElement, h: GroupElement, k: Group
     that fails ``DHInstance.check``) raises :class:`DishonestOracleError`
     before any query.  Otherwise the secret is a root of the quadruple
     polynomial of (g, h, k, l) when its quadratic coefficient is nonzero,
-    and at most two identity queries pick it out; if none passes, the
-    answer was wrong and raises :class:`DishonestOracleError`.  A
-    vanishing quadratic coefficient is a degenerate draw and yields None.
+    and at most two point questions (:func:`grover_from_identity`, one
+    identity query each, in increasing order up to the first accepted
+    root) pick it out; if none passes, the answer was wrong and raises
+    :class:`DishonestOracleError`.  A vanishing quadratic coefficient is
+    a degenerate draw and yields None.
     """
     modulus = cdh.modulus
     l = cdh(g, h, k)
@@ -287,7 +291,7 @@ def _cdh_rule(cdh: CdhOracle, oracle, g: GroupElement, h: GroupElement, k: Group
     a2, a1, a0 = dh_polynomial(quadruple)
     if a2 == 0:
         return None
-    s = first_on_line(oracle, _roots_int(a2, a1, a0, modulus.p))
+    s = next((r for r in _roots_int(a2, a1, a0, modulus.p) if grover_from_identity(oracle, r)), None)
     if s is None:
         raise DishonestOracleError("no root of the CDH answer passes the identity test")
     return Residue(s, modulus)

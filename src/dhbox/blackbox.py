@@ -14,26 +14,27 @@ has two entry points: ``query_coords`` charges one query, and
 ``scan_line`` charges one query per candidate x of a line base + x*step,
 in order, up to the first accepted one.  ``OracleBase.scan_line`` is the
 one scaffold of every scan: the width checks, the budget cut, the charge
-and the refusal.  A range, a one-dimensional integer numpy array or a
-tuple of ints is offered to the leaf's index, which names the first
-accepted candidate without a query: a raw oracle accepts x exactly when
-x = t (mod p) for one residue t of the line, so it answers a range in
-closed form, an array by the array's own remainder and a tuple one
-remainder per item; the embedded oracle accepts x exactly when
-R^x = H^-1 for two subgroup elements of the line, so it answers a range
-by baby-step giant-step and declines the rest.  This module never
-imports numpy; an array reaches a scan only from a caller that has.
-Any other candidates (an iterator, a list, a memoryview, floats), what
-a leaf declines, any oracle without an index, and a subclass that
-changes the answer rule are scanned through ``query_coords``, so both
-entry points ask and charge the same queries.  The one view,
-:class:`OracleView`, keeps no counter: it maps coordinates, or a scan's
-base and step, and charges through the oracle it wraps.
-:func:`normalize_oracle` and ``algorithms.lift_oracle`` build it.
+and the refusal.  A range or a one-dimensional integer numpy array is
+offered to the leaf's index, which names the first accepted candidate
+without a query: a raw oracle accepts x exactly when x = t (mod p) for
+one residue t of the line, so it answers a range in closed form and an
+array by the array's own remainder; the embedded oracle accepts x
+exactly when R^x = H^-1 for two subgroup elements of the line, so it
+answers a range by baby-step giant-step and declines an array.  This
+module never imports numpy; an array reaches a scan only from a caller
+that has.  Any other candidates (an iterator, a tuple, a list, a
+memoryview, floats), what a leaf declines, any oracle without an index,
+and a subclass that changes the answer rule are scanned through
+``query_coords``, so both entry points ask and charge the same queries.
+The one view, :class:`OracleView`, keeps no counter: it maps
+coordinates, or a scan's base and step, and charges through the oracle
+it wraps.  :func:`normalize_oracle` and ``algorithms.lift_oracle`` build
+it.
 A point question x is the single query (x, -1), asked by
-:func:`grover_from_identity` through ``query_coords``: :class:`GroverOracle`
-and the Grover simulator's charge for each phase-oracle application both
-ask it, so point-search queries use the same counter too.
+:func:`grover_from_identity` through ``query_coords``: :class:`GroverOracle`,
+the Grover simulator's charge for each phase-oracle application and the
+level-1 root tests of ``algorithms`` (the DDH decision and the CDH rule)
+all ask it, so point-search queries use the same counter too.
 
 Everything that would let algorithm code peek at the hidden normal vector
 is gated behind an explicit :class:`Escrow` capability.  Reference maps
@@ -221,11 +222,10 @@ class OracleBase:
     ``scan_line`` asks the queries base + x*step for each candidate x in
     order and stops at the first accepted one.  It holds everything about
     a scan but the answers: a leaf supplies only ``_line_index``, which
-    names the first accepted index of a range, an integer array or a
-    tuple of ints, or declines it; other candidates, what the leaf
-    declines, and an oracle without an index, are scanned through
-    ``query_coords``.  A view (:class:`OracleView`)
-    leaves the counter unset; it maps coordinates, or a scan's base and
+    names the first accepted index of a range or an integer array, or
+    declines it; other candidates, what the leaf declines, and an oracle
+    without an index, are scanned through ``query_coords``.  A view
+    (:class:`OracleView`) leaves the counter unset; it maps coordinates, or a scan's base and
     step, and passes the query or scan to the oracle it wraps, which
     checks and charges it.  A view uses only the public surface of what
     it wraps, so a wrapped oracle may itself be a view or a proxy.
@@ -233,8 +233,8 @@ class OracleBase:
 
     __slots__ = ("modulus", "level", "_queries", "_budget")
 
-    # The leaf's answer to a scan of a range, an integer array or a tuple
-    # of ints, ``_line_index(base, step, seq)``: the least i >= 0 at which
+    # The leaf's answer to a scan of a range or an integer array,
+    # ``_line_index(base, step, seq)``: the least i >= 0 at which
     # seq holds an accepted candidate, or else None or any i past its end;
     # or NotImplemented, before anything is charged, for a kind of seq the
     # leaf does not index, which is then scanned query by query.  A leaf
@@ -291,12 +291,12 @@ class OracleBase:
         scan stops at the first accepted one.  Returns None when no
         candidate is accepted.  An empty scan asks nothing.
 
-        A range, a one-dimensional integer numpy array or a tuple of ints
-        is not drawn when the leaf has a ``_line_index``: it is cut to the
-        budget's room, the leaf names the index i of the first accepted
-        candidate, and i + 1 queries are charged (the whole room when none
-        is accepted, and then a scan that the budget cut short is refused
-        as the query-by-query loop refuses it).  Other candidates, and
+        A range or a one-dimensional integer numpy array is not drawn when
+        the leaf has a ``_line_index``: it is cut to the budget's room, the
+        leaf names the index i of the first accepted candidate, and i + 1
+        queries are charged (the whole room when none is accepted, and
+        then a scan that the budget cut short is refused as the
+        query-by-query loop refuses it).  Other candidates, and
         those the leaf declines, are scanned query by query.
         """
         index = self._line_index
@@ -344,10 +344,9 @@ class RawOracle(OracleBase):
     coordinate pattern.
 
     A line scan is decided by one residue t: a candidate is accepted
-    exactly when it is t mod p.  A range is answered in closed form, an
-    integer array by its own remainder and a tuple of ints one remainder
-    per item, so no query is formed per candidate; other candidates are
-    scanned query by query.
+    exactly when it is t mod p.  A range is answered in closed form and
+    an integer array by its own remainder, so no query is formed per
+    candidate; other candidates are scanned query by query.
     """
 
     __slots__ = ("_normal",)
@@ -366,8 +365,7 @@ class RawOracle(OracleBase):
         return 1 if acc % self.modulus.p == 0 else 0
 
     def _line_index(self, base: Sequence[int], step: Sequence[int], seq) -> Optional[int]:
-        """The line scan of a range in closed form, of an array by its own
-        remainder, of a tuple one remainder per item.
+        """The line scan of a range in closed form, of an array by its own remainder.
 
         The query base + x*step is accepted exactly when
         c0 + x*c1 = 0 (mod p), with c0 = n.base and c1 = n.step for the
@@ -393,13 +391,6 @@ class RawOracle(OracleBase):
             if s == 0:
                 return 0 if (seq.start - t) % p == 0 else None
             return (t - seq.start) * pow(s, -1, p) % p
-        if isinstance(seq, tuple):
-            i = 0
-            for x in seq:
-                if x % p == t:
-                    return i
-                i += 1
-            return None
         return _first_residue(seq, p, t)
 
     def reveal_normal(self, escrow: Escrow) -> Tuple[int, ...]:
@@ -517,16 +508,10 @@ def _check_line(oracle, base: Sequence[int], step: Sequence[int]) -> None:
 def _index_length(candidates) -> Optional[int]:
     """The number of candidates of a scan that can index them, or None.
 
-    A tuple of exact ints (no bool, no numpy integer), a range or a
-    one-dimensional integer numpy array can be indexed; a range is
-    counted also when it is longer than sys.maxsize, where len()
-    overflows.
+    A range or a one-dimensional integer numpy array can be indexed; a
+    range is counted also when it is longer than sys.maxsize, where
+    len() overflows.
     """
-    if isinstance(candidates, tuple):
-        for x in candidates:
-            if type(x) is not int:
-                return None
-        return len(candidates)
     if isinstance(candidates, range):
         return (candidates[-1] - candidates[0]) // candidates.step + 1 if candidates else 0
     # No ndarray exists before numpy is imported, so the check imports nothing.
@@ -617,7 +602,10 @@ def grover_from_identity(oracle, x: int) -> int:
     The one rule for a point question: (x, -1) lies on the hidden line
     exactly when x is the secret, so x costs the single query (x, -1),
     asked through ``query_coords`` on any oracle, proxy or view.  Like
-    every query, a float x is charged and then refused.
+    every query, a float x is charged and then refused.  Asked by
+    :class:`GroverOracle`, by the Grover simulator for each phase-oracle
+    application, and by the level-1 root tests of ``ddh_decide_level1``
+    and the CDH rule, one root at a time up to the first accepted.
     """
     if oracle.level != 1:
         raise ValueError(f"level-1 oracle required, got level {oracle.level}")

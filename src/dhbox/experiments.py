@@ -214,9 +214,13 @@ def wilson_interval(successes: int, trials: int, z: float = 3.0) -> Tuple[float,
     """Wilson score interval for a binomial proportion at z sigmas.
 
     ``check_trials`` reads the trial count: a count below 1, or one that
-    is no integer, is refused.
+    is no integer, is refused.  The successes are read through
+    ``operator.index`` too, and refused outside 0 <= successes <= trials.
     """
     trials = check_trials(trials)
+    successes = operator.index(successes)
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must lie in [0, {trials}], got {successes}")
     phat = successes / trials
     z2 = z * z
     denom = 1 + z2 / trials

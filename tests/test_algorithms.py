@@ -21,6 +21,7 @@ from dhbox.algorithms import (
     cdh_given_secret,
     ddh_decide_by_search,
     ddh_decide_level1,
+    dh_polynomial,
     dlog_given_secret,
     embed_generic_group,
     honest_cdh_oracle,
@@ -48,7 +49,7 @@ from dhbox.blackbox import (
     scan_line,
 )
 from dhbox.grover_sim import grover_search
-from dhbox.modmath import PrimeModulus, QuadraticPoly, Residue, _sylow2, solve_quadratic, sqrt_mod
+from dhbox.modmath import PrimeModulus, QuadraticPoly, Residue, _roots_int, _sylow2, solve_quadratic, sqrt_mod
 
 ESCROW = Escrow()
 
@@ -133,6 +134,88 @@ def test_ddh_random_large_modulus():
         l = GroupElement((int(row[5]), int(row[6])), pm)
         ref = 1 if label_of(s, l) == label_of(s, h) * label_of(s, k) % p else 0
         assert ddh_decide_level1(o, DHInstance(g, h, k, l), check_generator=False) == ref
+
+
+def _root_questions(roots, s, p):
+    """The point questions (r, -1) mod p of the roots asked in order, up to
+    and including the secret's, as a root test asks them."""
+    asked = []
+    for r in roots:
+        asked.append((r, p - 1))
+        if r == s:
+            break
+    return asked
+
+
+@st.composite
+def _level1_quadruples(draw):
+    p = draw(st.sampled_from((5, 7, 11, 2**61 - 1)))
+    pm = PrimeModulus(p)
+    s = draw(st.integers(0, p - 1))
+    coord = st.integers(0, p - 1) | st.sampled_from((0, 1, p - 1))
+    g, h, k = (elem(pm, draw(coord), draw(coord)) for _ in range(3))
+    l1 = draw(coord)
+    if draw(st.booleans()) and label_of(s, g):  # a DH-quadruple
+        want = label_of(s, h) * label_of(s, k) * pow(label_of(s, g), -1, p)
+        l = elem(pm, want - l1 * s, l1)
+    else:
+        l = elem(pm, draw(coord), l1)
+    return pm, s, DHInstance(g, h, k, l)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_level1_quadruples())
+def test_ddh_level1_asks_the_roots_as_point_questions(case):
+    # The decision asks (r, -1) for each root r of the quadruple polynomial
+    # in increasing order, up to the first accepted one, and nothing else.
+    pm, s, inst = case
+    p = pm.p
+    rec = _Proxy(IdentityOracle.level1(pm, s))
+    got = ddh_decide_level1(rec, inst, check_generator=False)
+    a2, a1, a0 = dh_polynomial(inst)
+    if a2 == a1 == 0:
+        expected, asked = (1 if a0 == 0 else 0), []
+    else:
+        roots = _roots_int(a2, a1, a0, p)
+        expected, asked = (1 if s in roots else 0), _root_questions(roots, s, p)
+    assert got == expected
+    assert [tuple(c % p for c in q) for q in rec.seen] == asked
+    assert rec.queries == len(asked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((5, 7, 11, 2**61 - 1)).flatmap(lambda p: st.tuples(st.just(p), st.integers(0, p - 1), st.integers(0, 2**32))))
+def test_secret_from_cdh_asks_the_roots_as_point_questions(case):
+    # The roots of the honest answer's polynomial, in increasing order, up
+    # to the secret's; a random representative moves the other root.
+    p, s, seed = case
+    pm = PrimeModulus(p)
+    rec = _Proxy(IdentityOracle.level1(pm, s))
+    honest = honest_cdh_oracle(rec.inner, ESCROW, rng=np.random.default_rng(seed))
+    answers = []
+    cdh = CdhOracle(lambda *args: answers.append(honest(*args)) or answers[-1], pm)
+    assert secret_from_cdh(cdh, rec).value == s
+    g, h, k = elem(pm, 1, 0), elem(pm, 0, 1), elem(pm, 1, 1)
+    roots = _roots_int(*dh_polynomial(DHInstance(g, h, k, *answers)), p)
+    assert [tuple(c % p for c in q) for q in rec.seen] == _root_questions(roots, s, p)
+    assert rec.queries == len(rec.seen) and cdh.calls == 1
+
+
+def test_root_tests_refuse_at_the_budget():
+    # The secret is the second root: the first root's question spends the
+    # whole budget of 1, and the second is refused uncharged.
+    pm = PrimeModulus(5)
+    o = IdentityOracle.level1(pm, 3, budget=1)  # roots of -x^2 + 4: (2, 3)
+    inst = DHInstance(elem(pm, 1, 0), elem(pm, 0, 1), elem(pm, 0, 1), elem(pm, 4, 0))
+    with pytest.raises(QueryBudgetExceeded, match="^query budget of 1 exhausted$"):
+        ddh_decide_level1(o, inst, check_generator=False)
+    assert o.queries == 1
+    pm = PrimeModulus(7)
+    o = IdentityOracle.level1(pm, 4, budget=1)  # the CDH roots are (2, 4)
+    cdh = honest_cdh_oracle(o, ESCROW)
+    with pytest.raises(QueryBudgetExceeded, match="^query budget of 1 exhausted$"):
+        secret_from_cdh(cdh, o)
+    assert o.queries == 1 and cdh.calls == 1
 
 
 def test_ddh_level_and_missing_l_rejected():
@@ -861,18 +944,21 @@ def _subgroup_generator(p, q):
 
 
 class _Proxy:
-    """Duck-typed pass-through oracle; scans through it ask query by query."""
+    """Duck-typed pass-through oracle that records every query it forwards;
+    scans through it ask query by query."""
 
     def __init__(self, inner):
         self.inner = inner
         self.modulus = inner.modulus
         self.level = inner.level
+        self.seen = []
 
     @property
     def queries(self):
         return self.inner.queries
 
     def query_coords(self, coords):
+        self.seen.append(tuple(coords))
         return self.inner.query_coords(coords)
 
 

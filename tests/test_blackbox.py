@@ -331,8 +331,8 @@ def test_empty_scan_asks_nothing_after_the_checks():
     assert o.queries == 0
     with pytest.raises(ValueError, match="dimension mismatch"):
         o.scan_line((0, 6, 0), (1, 0, 0), ())
-    # A quadratic with no root gives first_on_line an empty tuple; the
-    # level is still checked first.
+    # first_on_line checks the level before it scans, even an empty tuple
+    # (which, like every tuple, is scanned query by query).
     level2 = IdentityOracle(NormalVector((1, 2, 3), pm))
     with pytest.raises(ValueError, match="level-1 oracle required"):
         first_on_line(level2, ())
@@ -480,8 +480,8 @@ def _as_ints(values):
 @settings(max_examples=600, deadline=None)
 @given(_indexed_scans())
 def test_indexed_scan_matches_the_query_loop(case):
-    # A range, integer array or tuple of ints is scanned by index, asking
-    # no query, and a memoryview query by query; each gives the hit, count,
+    # A range or an integer array is scanned by index, asking no query, and
+    # a tuple or a memoryview query by query; each gives the hit, count,
     # refusal and message of the query loop over the same values as ints,
     # directly and under a view.
     p, normal, view, perm, base, step, values, budget, spent, any_room = case
@@ -491,7 +491,7 @@ def test_indexed_scan_matches_the_query_loop(case):
     room = {"none": None, "zero": 0, "hit": asked, "short": max(asked - 1, 0), "any": any_room}[budget]
     outcomes = []
     no_query = mock.patch.object(RawOracle, "_answer", side_effect=AssertionError("asked a query"))
-    if isinstance(values, memoryview):
+    if isinstance(values, (memoryview, tuple)):
         no_query = contextlib.nullcontext()
     for scan, candidates, guard in (
         (_scan_by_queries, _as_ints(values), contextlib.nullcontext()),
@@ -886,8 +886,9 @@ def test_budgets_are_exact_counts(make):
 
 
 def test_numpy_budget_is_stored_as_an_int():
-    # np.int64(2) becomes the int 2, so the indexed tuple scan and the query
-    # loop refuse at the same count, and the counter stays an int.
+    # np.int64(2) becomes the int 2, so a tuple scan and an iterator scan,
+    # both query by query, refuse at the same count, and the counter stays
+    # an int.
     outcomes = []
     for candidates in ((0, 1, 2, 3), iter((0, 1, 2, 3))):
         o = IdentityOracle.level1(PrimeModulus(7), 3, budget=np.int64(2))

@@ -45,6 +45,20 @@ def test_wilson_interval_sanity():
     assert l3 < l1 and h3 > h1
 
 
+def test_wilson_interval_refuses_impossible_successes():
+    # Successes below 0 or above the trials, or no integer, have no
+    # proportion to bound; the bounds 0 and trials do.
+    for successes in (-1, 150):
+        with pytest.raises(ValueError, match=f"got {successes}$"):
+            wilson_interval(successes, 100)
+    with pytest.raises(TypeError):
+        wilson_interval(2.5, 10)
+    for successes in (0, 10):
+        low, high = wilson_interval(successes, 10)
+        assert 0.0 <= low < high <= 1.0
+    assert wilson_interval(np.int64(3), 10) == wilson_interval(3, 10)
+
+
 def test_scaling_small_run():
     rows = run_scaling([31], 400, seed=5)
     row = rows[0]

@@ -61,8 +61,8 @@ assert brute_force_secret(oracle).value == 1000
 assert oracle.queries == 1001
 assert loaded() == [], loaded()
 
-# A tuple and a memoryview are scanned with the hit and the charge of the
-# query loop, and load no numpy.
+# A tuple and a memoryview are scanned query by query, as an iterator is:
+# the same hit and charge, and no numpy loaded.
 values = array("q", [5, 1009 + 3, 700 + 2 * 1009, 700, 9])
 scans = []
 for candidates in (iter(values), tuple(values), memoryview(values)):
@@ -116,8 +116,8 @@ def _run_fresh(code):
 
 def test_import_loads_only_the_level1_core():
     # The DDH decision at both bench moduli, the CDH reduction, a brute
-    # force over a range and tuple and memoryview scans run without numpy
-    # or any study module.
+    # force over a range, and the query-by-query scans of a tuple and a
+    # memoryview run without numpy or any study module.
     _run_fresh(LEVEL1_CORE)
 
 
@@ -128,6 +128,6 @@ def test_study_names_load_on_first_access():
 
 
 def test_adversary_study_runs_without_numpy():
-    # The adversary bounds and the case counts walk the query classes in
-    # plain integers, so neither loads numpy.
+    # The adversary bounds and the case counts are closed forms in plain
+    # integers, so neither loads numpy.
     _run_fresh(ADVERSARY_WITHOUT_NUMPY)
