@@ -10,11 +10,17 @@ Each handler parses its arguments, calls one library function (the
 the demos call them too) and formats what it returns.
 
 Exit codes: 0 success, 1 input/usage error, 2 internal failure.
+
+``main`` parses with one parser per process, built on its first call:
+parsing leaves no state on an ``argparse`` parser, and building all nine
+subparsers costs more than parsing one command.  ``build_parser`` still
+returns a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -87,6 +93,7 @@ def _emit_rows(rows: List[dict], out: Optional[str], fmt: str) -> None:
 
 
 def build_parser() -> _Parser:
+    """A new parser for every ``dhbox`` command."""
     parser = _Parser(prog="dhbox", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"dhbox {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -137,6 +144,12 @@ def build_parser() -> _Parser:
     sp = add("level2-counts", "random level-2 instance line-solution counts", trials=1000, **row_options)
     sp.add_argument("--force", action="store_true", help="override the enumeration guard")
     return parser
+
+
+@functools.cache
+def _main_parser() -> _Parser:
+    """The one parser ``main`` parses with, built on its first call."""
+    return build_parser()
 
 
 def _single_p(args) -> int:
@@ -263,7 +276,10 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    """Run one ``dhbox`` command and return its exit code.  The parser is
+    built once per process (``_main_parser``), so every call after the
+    first pays for parsing its own command only."""
+    parser = _main_parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

@@ -30,18 +30,24 @@ amplitude u that every other entry shares.  A run evolves the pair with
 the float operations that ``_step`` applies to the vector, so its bits
 equal the vector's and a seeded measurement is unchanged.  The
 mean is the one step that touches every entry: numpy sums an array
-pairwise (Higham, 1993), fewer than 8 items in order from 0.0, 8 to 128
+pairwise (Higham, 1993), fewer than 8 items in order from -0.0, 8 to 128
 items in 8 interleaved lanes combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
 followed by the n mod 8 tail in order, and more items as the sum over
-the first n2 = n//2 - (n//2 mod 8) plus the sum over the rest.  Every
+the first n2 = n//2 - (n//2 mod 8) plus the sum over the rest, and
+``np.add.reduce`` adds that sum to its identity 0.0 (which turns a sum
+of -0.0 into 0.0 and leaves every other sum as it is).  Every
 subtree of that split without the target sums u alone, so its sum
 depends on its size only.  ``_pairwise_plan`` folds the split into a
-flat plan once per (n, target): the lanes to build, one op per
-target-free size in increasing order, the target's leaf block and the
-siblings on its way to the root.  ``_two_valued_sum`` evaluates the plan
-over one list of slots in O(log n) float operations; a target-free block
-of 8 equal lanes is one exact multiplication by 8.0, as the three
-doublings of its lane combination are.
+flat plan: the lanes to build, one op per target-free size in increasing
+order, the target's leaf block and the siblings on its way to the root.
+``_compiled_sum`` compiles that plan once per (n, target) into one
+straight-line Python function of (u, t), one statement per float
+operation in the plan's order, so it does the same operations and gives
+the same bits with no loop and no list; ``_two_valued_sum`` calls it, in
+O(log n) float operations.  A target-free block of 8 equal lanes is one
+exact multiplication by 8.0, as the three doublings of its lane
+combination are.  The last 16 functions are kept: a run steps at one
+(p, target), and a study at a few.
 
 Measurement needs no vector either.  ``Generator.choice`` with weights
 draws one uniform double x and returns the first index whose partial
@@ -120,14 +126,13 @@ def _pairwise_split(n: int) -> tuple:
     return n2, n - n2
 
 
-@functools.lru_cache(maxsize=16)
 def _pairwise_plan(n: int, j: int) -> tuple:
     """numpy's pairwise sum of n items, item j apart, as a flat plan.
 
-    A sum evaluates the plan over one list of slots: first the lanes,
-    slot q holding the in-order sum of q copies of u (slot 0 is -0.0,
-    which adds exactly nothing), then one slot per target-free subtree
-    size in increasing order.  The plan holds, in this order:
+    A sum evaluates the plan over numbered slots: first the lanes, slot q
+    holding the in-order sum of q copies of u (slot 0 is -0.0, which adds
+    exactly nothing), then one slot per target-free subtree size in
+    increasing order.  The plan holds, in this order:
 
     - the number of lanes to build;
     - one op per target-free block of m <= 128 items, (m // 8, m % 8):
@@ -145,7 +150,8 @@ def _pairwise_plan(n: int, j: int) -> tuple:
       before and after t;
     - the slots of the target-free siblings, from the leaf up to the root.
 
-    The tree depends on n and j alone, so a run builds its plan once.
+    The tree depends on n and j alone: ``_compiled_sum`` compiles it once
+    per (n, j), and this function keeps no cache of its own.
     """
     siblings = []
     while n > _PW_BLOCKSIZE:
@@ -181,43 +187,53 @@ def _pairwise_plan(n: int, j: int) -> tuple:
     return n_lanes, tuple(blocks), tuple(splits), leaf, tuple(slot[m] for m in reversed(siblings))
 
 
-def _two_valued_sum(n: int, j: int, u: float, t: float) -> float:
-    """``np.add.reduce`` of the n-vector that is u everywhere but t at j,
-    bit for bit, in O(log n) float operations: every subtree of numpy's
-    pairwise sum without item j sums u alone, so its sum depends on its
-    size only, and ``_pairwise_plan`` lists those sizes once per (n, j).
+@functools.lru_cache(maxsize=16)
+def _compiled_sum(n: int, j: int):
+    """``_pairwise_plan(n, j)`` as one straight-line function of (u, t).
+
+    Slot k of the plan is the local name sk, and every float operation of
+    the plan is one statement, in the plan's order, so the function does
+    the same operations as the plan and gives the same bits.  n and j are
+    read through ``operator.index`` before anything is built: the source
+    holds only integer literals and fixed names, and a float size or
+    target raises ``TypeError`` with nothing cached.
 
     Seven of the leaf block's lanes are equal, and float addition
     commutes, so its lane combination is ((x + l) + 2l) + 4l for the
     target's lane x and the others' l; doubling is exact.
     """
-    n_lanes, blocks, splits, leaf, siblings = _pairwise_plan(n, j)
-    slots = list(itertools.accumulate(itertools.repeat(u, n_lanes - 1), initial=-0.0))
+    n_lanes, blocks, splits, leaf, siblings = _pairwise_plan(operator.index(n), operator.index(j))
+    lines = ["s0 = -0.0"] + [f"s{q} = s{q - 1} + u" for q in range(1, n_lanes)]
+    slot = n_lanes
     for q, r in blocks:
-        s = slots[q] * 8.0
-        for _ in range(r):
-            s += u
-        slots.append(s)
+        lines += [f"s{slot} = s{q} * 8.0"] + [f"s{slot} += u"] * r
+        slot += 1
     for a, b in splits:
-        slots.append(slots[a] + slots[b])
+        lines.append(f"s{slot} = s{a} + s{b}")
+        slot += 1
     q, prefix, mid, end = leaf
-    lane = slots[q]
     if prefix is None:
-        # numpy sums a block below 8 items in order from 0.0.
-        s = lane * 8.0 if q else 0.0
-        for _ in range(mid):
-            s += u
-        s += t
+        # numpy sums a block below 8 items in order from -0.0.
+        lines += [f"s = s{q} * 8.0" if q else "s = -0.0"] + ["s += u"] * mid + ["s += t"]
     else:
-        s = slots[prefix] + t
-        for _ in range(mid):
-            s += u
-        s = s + lane + lane * 2.0 + lane * 4.0
-    for _ in range(end):
-        s += u
-    for k in siblings:
-        s += slots[k]
-    return s
+        lines += [f"s = s{prefix} + t"] + ["s += u"] * mid
+        lines += [f"s += s{q}", f"s += s{q} * 2.0", f"s += s{q} * 4.0"]
+    lines += ["s += u"] * end + [f"s += s{k}" for k in siblings]
+    # The reduction adds the pairwise sum to its identity.
+    lines.append("s = 0.0 + s")
+    source = "def plan_sum(u, t):\n" + "".join(f"    {line}\n" for line in lines) + "    return s\n"
+    namespace = {}
+    exec(source, namespace)
+    return namespace["plan_sum"]
+
+
+def _two_valued_sum(n: int, j: int, u: float, t: float) -> float:
+    """``np.add.reduce`` of the n-vector that is u everywhere but t at j,
+    bit for bit, in O(log n) float operations: every subtree of numpy's
+    pairwise sum without item j sums u alone, so its sum depends on its
+    size only, and ``_compiled_sum`` adds those sums in numpy's order by
+    a function compiled once per (n, j)."""
+    return _compiled_sum(n, j)(u, t)
 
 
 def _two_valued_step(n: int, target: int, t: float, u: float) -> tuple:
@@ -318,20 +334,28 @@ def _iteration_count(iterations) -> int:
     return k
 
 
-def _check_states(n_states: int, target: int) -> None:
+def _check_states(n_states: int, target: int) -> tuple:
+    """The state count and target as exact ints, read through
+    ``operator.index`` (a float is refused, ``True`` is 1), each refused
+    outside its range."""
+    n_states, target = operator.index(n_states), operator.index(target)
     if n_states < 2:
         raise ValueError(f"need at least 2 states, got {n_states}")
     if n_states > MAX_STATES:
         raise ValueError(f"{n_states} states exceed the state guard {MAX_STATES}")
     if not 0 <= target < n_states:
         raise ValueError(f"target {target} outside [0, {n_states})")
+    return n_states, target
 
 
 def simulate_search(n_states: int, target: int, iterations: int) -> np.ndarray:
     """Amplitudes after running Grover search from the uniform state.
 
     Works for any N >= 2 and any target, with no oracle attached; the
-    self-test N = 4, k = 1 hits the textbook exact case.  The state is
+    self-test N = 4, k = 1 hits the textbook exact case.  N and the
+    target are read through ``operator.index`` before the first step, so
+    a numpy integer is the int it holds, a float is refused and ``True``
+    is index 1.  The state is
     evolved as its two values, the target's amplitude and the one every
     other entry shares, each step the float operations of ``_step``
     (the reference): the mean is ``_two_valued_sum`` (numpy's pairwise
@@ -342,7 +366,7 @@ def simulate_search(n_states: int, target: int, iterations: int) -> np.ndarray:
     part up to rounding (numpy sums the mean of a real array in another
     pairwise order, which moves the last bits).
     """
-    _check_states(n_states, target)
+    n_states, target = _check_states(n_states, target)
     t, u = next(itertools.islice(_walk(n_states, target), _iteration_count(iterations), None))
     amplitudes = np.full(n_states, u, dtype=np.float64)
     amplitudes[target] = t
@@ -387,7 +411,7 @@ def grover_search(oracle, iterations: Optional[int] = None, rng=None) -> GroverR
         raise ValueError(f"level-1 oracle required, got level {oracle.level}")
     p = oracle.modulus.p
     target = oracle.reveal_hidden(Escrow()).coords[1]
-    _check_states(p, target)
+    p, target = _check_states(p, target)
     k = optimal_iterations(p) if iterations is None else _iteration_count(iterations)
     # Charge the k phase-oracle applications before the state evolves,
     # so a budget below k runs no step.  Each is the point question at

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from dhbox.cli import main
+from dhbox import __version__, cli
+from dhbox.cli import build_parser, main
 
 
 def test_no_command_usage_error(capsys):
@@ -37,6 +38,25 @@ def test_bad_input_exit_1(capsys):
 def test_help_exit_0(capsys):
     assert main(["--help"]) == 0
     assert "command" in capsys.readouterr().out
+
+
+def test_parser_is_reused_across_calls(capsys):
+    # main parses every call with one parser; a usage error, --help and
+    # --version in between leave nothing on it that changes a later call.
+    first = ["adversary", "--p", "31", "--force"]
+    rc = main(first)
+    before = capsys.readouterr()
+    assert rc == 0 and before.out and before.err == ""
+    assert main(["adversary", "--p", "5", "--t", "7"]) == 1
+    assert "--t" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "command" in capsys.readouterr().out
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"dhbox {__version__}\n"
+    assert main(first) == rc
+    assert capsys.readouterr() == before
+    assert cli._main_parser() is cli._main_parser()
+    assert build_parser() is not build_parser()
 
 
 def test_secret_subcommand(capsys):

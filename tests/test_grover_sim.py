@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dhbox.algorithms import DishonestOracleError
 from dhbox import grover_sim
@@ -300,6 +303,77 @@ def test_two_valued_sum_is_numpy_pairwise_sum():
             a[j] = t
             assert _two_valued_sum(n, j, u, t) == np.add.reduce(a), (n, j)
             a[j] = u
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+# Bounded so that no sum of up to 20000 items overflows to an infinity.
+_SUM_VALUES = st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 20000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))), _SUM_VALUES, _SUM_VALUES)
+# numpy adds a sum of -0.0 to its identity 0.0, at every size.
+@example((3, 1), -0.0, -0.0)
+@example((8, 0), -0.0, -0.0)
+@example((65537, 65536), -0.0, -0.0)
+def test_compiled_sum_is_numpy_pairwise_sum_bit_for_bit(nj, u, t):
+    n, j = nj
+    a = np.full(n, u)
+    a[j] = t
+    assert _bits(_two_valued_sum(n, j, u, t)) == _bits(float(np.add.reduce(a))), (n, j, u, t)
+
+
+def test_search_is_the_same_with_caches_cold_warm_and_evicted():
+    p = 65537
+    pm = PrimeModulus(p)
+
+    def run(target):
+        return grover_search(IdentityOracle.level1(pm, target), rng=np.random.default_rng(target))
+
+    cache = grover_sim._compiled_sum
+    first, *others = [(k * 40503 + 11) % p for k in range(18)]
+    cache.cache_clear()
+    cold = run(first)
+    assert cache.cache_info().misses == 1  # the walk and the measurement share one function
+    warm = run(first)
+    assert cache.cache_info().misses == 1
+    for target in others:  # 17 more keys evict the first from the 16 kept
+        run(target)
+    assert cache.cache_info().currsize == 16
+    misses = cache.cache_info().misses
+    evicted = run(first)
+    assert cache.cache_info().misses == misses + 1
+    assert cold == warm == evicted
+    assert cold.to_dict() == _array_grover_run(p, first, optimal_iterations(p), first).to_dict()
+
+
+def test_sizes_and_targets_are_read_as_ints():
+    # A float size or target used to cache a plan of floats under the key
+    # it equals, so every later search at that int key raised TypeError.
+    def reference(n, target, k):
+        amp = np.full(n, 1 / math.sqrt(n), dtype=np.float64)
+        for _ in range(k):
+            amp = _step(amp, target)
+        return amp
+
+    grover_sim._compiled_sum.cache_clear()
+    with pytest.raises(TypeError):
+        simulate_search(9.0, 0, 1)
+    with pytest.raises(TypeError):
+        simulate_search(9, 2.0, 1)
+    with pytest.raises(TypeError):
+        _two_valued_sum(9.0, 0, 0.5, 0.5)
+    assert grover_sim._compiled_sum.cache_info().currsize == 0
+    assert np.array_equal(simulate_search(9, 0, 1), reference(9, 0, 1))
+    assert np.array_equal(simulate_search(9, 2, 3), reference(9, 2, 3))
+    # True is index 1, not a mask over every entry.
+    assert np.array_equal(simulate_search(9, True, 1), reference(9, 1, 1))
+    got = simulate_search(np.int64(129), np.int64(128), np.int64(4))
+    assert np.array_equal(got, reference(129, 128, 4))
+    assert got.shape == (129,)
 
 
 def test_simulate_search_is_iterated_step_at_boundary_targets():
