@@ -37,17 +37,15 @@ the first n2 = n//2 - (n//2 mod 8) plus the sum over the rest, and
 ``np.add.reduce`` adds that sum to its identity 0.0 (which turns a sum
 of -0.0 into 0.0 and leaves every other sum as it is).  Every
 subtree of that split without the target sums u alone, so its sum
-depends on its size only.  ``_pairwise_plan`` folds the split into a
-flat plan: the lanes to build, one op per target-free size in increasing
-order, the target's leaf block and the siblings on its way to the root.
-``_compiled_sum`` compiles that plan once per (n, target) into one
-straight-line Python function of (u, t), one statement per float
-operation in the plan's order, so it does the same operations and gives
-the same bits with no loop and no list; ``_two_valued_sum`` calls it, in
-O(log n) float operations.  A target-free block of 8 equal lanes is one
-exact multiplication by 8.0, as the three doublings of its lane
-combination are.  The last 16 functions are kept: a run steps at one
-(p, target), and a study at a few.
+depends on its size only.  ``_compiled_sum`` follows the split from the
+root down to the target's leaf block once per (n, target) and makes
+each float operation on the way one statement of a straight-line Python
+function of (u, t), each target-free size once, so it does numpy's
+operations and gives the same bits with no loop and no list;
+``_two_valued_sum`` calls it, in O(log n) float operations.  A
+target-free block of 8 equal lanes is one exact multiplication by 8.0,
+as the three doublings of its lane combination are.  The last 16
+functions are kept: a run steps at one (p, target), and a study at a few.
 
 Measurement needs no vector either.  ``Generator.choice`` with weights
 draws one uniform double x and returns the first index whose partial
@@ -85,15 +83,25 @@ class NormDriftError(FloatingPointError):
     """The simulated state stopped being a unit vector."""
 
 
+def _closed_form_states(n_states) -> int:
+    """N for a closed form, read through ``operator.index`` and refused
+    below 1.  No state guard: a closed form allocates nothing."""
+    n = operator.index(n_states)
+    if n < 1:
+        raise ValueError(f"need at least 1 state, got {n}")
+    return n
+
+
 def closed_form_success(n_states: int, iterations: int) -> float:
-    """sin^2((2k+1) * asin(1/sqrt(N))): success after k Grover iterations."""
-    theta = math.asin(1.0 / math.sqrt(n_states))
-    return math.sin((2 * iterations + 1) * theta) ** 2
+    """sin^2((2k+1) * asin(1/sqrt(N))): success after k Grover iterations.
+    N >= 1 and k >= 0 are exact ints (a numpy integer is the int it holds)."""
+    theta = math.asin(1.0 / math.sqrt(_closed_form_states(n_states)))
+    return math.sin((2 * _iteration_count(iterations) + 1) * theta) ** 2
 
 
 def optimal_iterations(n_states: int) -> int:
-    """The standard iteration count round(pi/4 * sqrt(N) - 1/2)."""
-    return max(0, round(math.pi / 4 * math.sqrt(n_states) - 0.5))
+    """The standard iteration count round(pi/4 * sqrt(N) - 1/2), N >= 1."""
+    return round(math.pi / 4 * math.sqrt(_closed_form_states(n_states)) - 0.5)
 
 
 def _require_unit(norm: float) -> None:
@@ -119,112 +127,75 @@ def _step(amplitudes: np.ndarray, target: int) -> np.ndarray:
 _PW_BLOCKSIZE = 128  # numpy's PW_BLOCKSIZE: blocks up to this size sum in 8 lanes
 
 
-def _pairwise_split(n: int) -> tuple:
-    """numpy's split of a block of more than 128 items: first n2, then the rest."""
-    n2 = n // 2
-    n2 -= n2 % 8
-    return n2, n - n2
-
-
-def _pairwise_plan(n: int, j: int) -> tuple:
-    """numpy's pairwise sum of n items, item j apart, as a flat plan.
-
-    A sum evaluates the plan over numbered slots: first the lanes, slot q
-    holding the in-order sum of q copies of u (slot 0 is -0.0, which adds
-    exactly nothing), then one slot per target-free subtree size in
-    increasing order.  The plan holds, in this order:
-
-    - the number of lanes to build;
-    - one op per target-free block of m <= 128 items, (m // 8, m % 8):
-      its 8 equal lanes combine to lane * 8.0, exact as the three
-      doublings ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) it replaces, then
-      its m mod 8 tail items are added in order.  A target-free subtree
-      is half of a split, at least 64 items, so it is never a block
-      below 8 items;
-    - one op per larger target-free size, its two parts' slots;
-    - the target's leaf block of m items, j its index there, as
-      (m // 8, prefix, mid, end): with j in a lane, prefix = j // 8 is
-      the slot of the u's before t in that lane, mid counts the u's
-      after t in it and end the block's m mod 8 tail; with j in the
-      tail (or m < 8), prefix is None, and mid and end count the u's
-      before and after t;
-    - the slots of the target-free siblings, from the leaf up to the root.
-
-    The tree depends on n and j alone: ``_compiled_sum`` compiles it once
-    per (n, j), and this function keeps no cache of its own.
-    """
-    siblings = []
-    while n > _PW_BLOCKSIZE:
-        n2, rest = _pairwise_split(n)
-        if j < n2:
-            siblings.append(rest)
-            n = n2
-        else:
-            siblings.append(n2)
-            n, j = rest, j - n2
-    sizes, stack = set(), list(siblings)
-    while stack:
-        m = stack.pop()
-        if m not in sizes:
-            sizes.add(m)
-            if m > _PW_BLOCKSIZE:
-                stack.extend(_pairwise_split(m))
-    q = n // 8
-    n_lanes = max([q] + [m // 8 for m in sizes if m <= _PW_BLOCKSIZE]) + 1
-    slot, blocks, splits = {}, [], []
-    # Every block size sorts below every split size, so blocks take the
-    # first slots after the lanes.
-    for m in sorted(sizes):
-        slot[m] = n_lanes + len(slot)
-        if m <= _PW_BLOCKSIZE:
-            blocks.append((m // 8, m % 8))
-        else:
-            splits.append(tuple(slot[half] for half in _pairwise_split(m)))
-    if j < 8 * q:
-        leaf = (q, j // 8, q - j // 8 - 1, n % 8)
-    else:
-        leaf = (q, None, j - 8 * q, n - j - 1)
-    return n_lanes, tuple(blocks), tuple(splits), leaf, tuple(slot[m] for m in reversed(siblings))
-
-
 @functools.lru_cache(maxsize=16)
 def _compiled_sum(n: int, j: int):
-    """``_pairwise_plan(n, j)`` as one straight-line function of (u, t).
+    """numpy's pairwise sum of n items, item j apart, as one straight-line
+    function of (u, t): t is item j and u every other item.
 
-    Slot k of the plan is the local name sk, and every float operation of
-    the plan is one statement, in the plan's order, so the function does
-    the same operations as the plan and gives the same bits.  n and j are
-    read through ``operator.index`` before anything is built: the source
-    holds only integer literals and fixed names, and a float size or
-    target raises ``TypeError`` with nothing cached.
+    numpy's split is followed from the root down to the leaf block that
+    holds j, and every float operation on the way is one statement, so
+    the function does the vector's operations and gives its bits.  A
+    larger block splits at n2 = n//2 - (n//2 mod 8), which is
+    8 * (n // 16).  Each target-free subtree size m is written once, as
+    the local ``m<m>``: a block of m <= 128 items is its lane sum times
+    8.0, exact as the three doublings ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    of 8 equal lanes, then its m mod 8 tail in order; a larger subtree is
+    the sum of its two halves.  The source holds the lanes ``l<q>``, the
+    in-order sums of q copies of u from -0.0, up to the longest one
+    needed, then the subtrees in increasing size (each reads only smaller
+    ones), the leaf block, the siblings from the leaf up to the root, and
+    the reduction's addition to its identity.
 
     Seven of the leaf block's lanes are equal, and float addition
     commutes, so its lane combination is ((x + l) + 2l) + 4l for the
-    target's lane x and the others' l; doubling is exact.
+    target's lane x and the others' l; doubling is exact.  n and j are
+    read through ``operator.index`` before anything is built: the source
+    holds only integer literals and fixed names, and a float size or
+    target raises ``TypeError`` with nothing cached.
     """
-    n_lanes, blocks, splits, leaf, siblings = _pairwise_plan(operator.index(n), operator.index(j))
-    lines = ["s0 = -0.0"] + [f"s{q} = s{q - 1} + u" for q in range(1, n_lanes)]
-    slot = n_lanes
-    for q, r in blocks:
-        lines += [f"s{slot} = s{q} * 8.0"] + [f"s{slot} += u"] * r
-        slot += 1
-    for a, b in splits:
-        lines.append(f"s{slot} = s{a} + s{b}")
-        slot += 1
-    q, prefix, mid, end = leaf
-    if prefix is None:
-        # numpy sums a block below 8 items in order from -0.0.
-        lines += [f"s = s{q} * 8.0" if q else "s = -0.0"] + ["s += u"] * mid + ["s += t"]
+    n, j = operator.index(n), operator.index(j)
+    lanes, sums = [], {}
+
+    def lane(q: int) -> str:
+        while len(lanes) <= q:
+            k = len(lanes)
+            lanes.append(f"l{k} = l{k - 1} + u" if k else "l0 = -0.0")
+        return f"l{q}"
+
+    def subtree(m: int) -> str:
+        if m not in sums:
+            if m > _PW_BLOCKSIZE:
+                sums[m] = [f"m{m} = {subtree(8 * (m // 16))} + {subtree(m - 8 * (m // 16))}"]
+            else:
+                sums[m] = [f"m{m} = {lane(m // 8)} * 8.0"] + [f"m{m} += u"] * (m % 8)
+        return f"m{m}"
+
+    siblings = []
+    while n > _PW_BLOCKSIZE:
+        n2 = 8 * (n // 16)
+        if j < n2:
+            siblings.append(subtree(n - n2))
+            n = n2
+        else:
+            siblings.append(subtree(n2))
+            n, j = n - n2, j - n2
+    q = n // 8
+    if j < 8 * q:
+        leaf = [f"s = {lane(j // 8)} + t"] + ["s += u"] * (q - j // 8 - 1)
+        leaf += [f"s += {lane(q)}", f"s += {lane(q)} * 2.0", f"s += {lane(q)} * 4.0"]
+        end = n % 8
     else:
-        lines += [f"s = s{prefix} + t"] + ["s += u"] * mid
-        lines += [f"s += s{q}", f"s += s{q} * 2.0", f"s += s{q} * 4.0"]
-    lines += ["s += u"] * end + [f"s += s{k}" for k in siblings]
+        # numpy sums a block below 8 items in order from -0.0.
+        leaf = [f"s = {lane(q)} * 8.0" if q else "s = -0.0"] + ["s += u"] * (j - 8 * q) + ["s += t"]
+        end = n - j - 1
+    lines = lanes + [line for m in sorted(sums) for line in sums[m]] + leaf
+    lines += ["s += u"] * end + [f"s += {name}" for name in reversed(siblings)]
     # The reduction adds the pairwise sum to its identity.
     lines.append("s = 0.0 + s")
-    source = "def plan_sum(u, t):\n" + "".join(f"    {line}\n" for line in lines) + "    return s\n"
+    source = "def pairwise_sum(u, t):\n" + "".join(f"    {line}\n" for line in lines) + "    return s\n"
     namespace = {}
     exec(source, namespace)
-    return namespace["plan_sum"]
+    return namespace["pairwise_sum"]
 
 
 def _two_valued_sum(n: int, j: int, u: float, t: float) -> float:
@@ -476,7 +447,10 @@ def quantum_query_curve(ps: Sequence[int]) -> List[CurvePoint]:
 
 
 def fit_sqrt_coefficient(points: Sequence[CurvePoint]) -> float:
-    """Least-squares c for k ~ c * sqrt(p) through the origin."""
+    """Least-squares c for k ~ c * sqrt(p) through the origin, refused
+    for no points."""
+    if not points:
+        raise ValueError("need at least one curve point to fit")
     num = sum(pt.iterations * math.sqrt(pt.p) for pt in points)
     den = sum(pt.p for pt in points)
     return num / den

@@ -153,6 +153,30 @@ def test_default_iterations_near_optimum():
     assert run.success_probability > 0.99
 
 
+def test_closed_forms_refuse_impossible_counts():
+    # Each of these used to answer for a run that cannot exist, or fail
+    # with ZeroDivisionError or a bare math domain error.
+    with pytest.raises(ValueError, match="non-negative"):
+        closed_form_success(4, -1)
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="at least 1 state"):
+            closed_form_success(bad, 0)
+        with pytest.raises(ValueError, match="at least 1 state"):
+            optimal_iterations(bad)
+    for args in ((4.0, 1), (4, 1.0)):
+        with pytest.raises(TypeError):
+            closed_form_success(*args)
+    with pytest.raises(TypeError):
+        optimal_iterations(4.0)
+    # No state guard: the closed forms allocate nothing.
+    assert closed_form_success(1, 0) == 1.0
+    assert optimal_iterations(1) == 0
+    assert optimal_iterations(1 << 24) == round(math.pi * 1024 - 0.5)  # above MAX_STATES
+    assert closed_form_success(np.int64(101), np.int64(7)) == closed_form_success(101, 7)
+    k = optimal_iterations(np.int64(101))
+    assert k == 7 and type(k) is int
+
+
 def test_curve_fixtures():
     points = quantum_query_curve([3, 11, 101, 1009])
     by_p = {pt.p: pt for pt in points}
@@ -170,6 +194,8 @@ def test_curve_sqrt_fit():
     points = quantum_query_curve([11, 23, 53, 101, 211, 401, 809, 1009, 2003, 4099])
     c = fit_sqrt_coefficient(points)
     assert 0.4 <= c <= 0.9
+    with pytest.raises(ValueError, match="at least one curve point"):
+        fit_sqrt_coefficient([])
 
 
 def test_guards():
@@ -303,6 +329,15 @@ def test_two_valued_sum_is_numpy_pairwise_sum():
             a[j] = t
             assert _two_valued_sum(n, j, u, t) == np.add.reduce(a), (n, j)
             a[j] = u
+    # Every target at every size up to the first splits (129 to 136):
+    # each lane and tail position of a leaf block, bit for bit.
+    pairs = ((-0.0, -0.0), (0.1, 5e-324), (1 / 3, -7251.3))
+    for n in range(2, 137):
+        for j in range(n):
+            for u, t in pairs:
+                a = np.full(n, u)
+                a[j] = t
+                assert _bits(_two_valued_sum(n, j, u, t)) == _bits(float(np.add.reduce(a))), (n, j, u, t)
 
 
 def _bits(x):
